@@ -15,6 +15,19 @@ namespace wsv::fo {
 /// A set of valuations of a fixed variable list (kept sorted by name).
 /// This is the intermediate result of FO evaluation: each row assigns a
 /// domain element to each variable, in the order of `variables()`.
+///
+/// The set is finite or cofinite. A finite set lists its members. A
+/// cofinite set carries the evaluation domain it is relative to and lists
+/// the rows it excludes: its members are the rows of domain^variables that
+/// are not listed. Negation flips between the two forms, so `not R(x, y, z)`
+/// costs the rows R matched instead of |domain|^3. Joins with a cofinite
+/// side are anti-joins, unions go through De Morgan, and projection counts
+/// excluded extensions; only ToRelation turns a cofinite set back into rows
+/// (counted by the obs counter fo.cofinite_materializations).
+///
+/// A cofinite set never holds a row with a value outside its domain, so a
+/// finite row outside the evaluation domain does not survive a union with a
+/// cofinite set. Sets over no variables are always kept finite.
 class ValuationSet {
  public:
   /// Constructs the empty set (no rows) over `variables` (sorted on entry).
@@ -26,12 +39,22 @@ class ValuationSet {
   static ValuationSet UnitFalse();
 
   const std::vector<std::string>& variables() const { return variables_; }
-  const data::Relation& rows() const { return rows_; }
-  bool IsSatisfiable() const { return !rows_.empty(); }
-  size_t size() const { return rows_.size(); }
+  /// True for the cofinite form.
+  bool complemented() const { return complemented_; }
+  /// The listed rows: the members of a finite set, the excluded rows of a
+  /// cofinite one. Use Contains() for membership.
+  const data::Relation& listed_rows() const { return rows_; }
 
-  /// Adds a row aligned with `variables()`.
-  void AddRow(data::Tuple row) { rows_.Insert(row); }
+  /// Whether `row` (aligned with `variables()`) is a member. For a cofinite
+  /// set every value of `row` must also lie in the set's domain.
+  bool Contains(const data::Tuple& row) const;
+  bool IsSatisfiable() const;
+
+  /// Adds a row aligned with `variables()` to a finite set.
+  void AddRow(data::Tuple row);
+  /// Replaces the members of a finite set with `rows` (aligned with
+  /// `variables()`, any order, duplicates allowed); sorts them once.
+  void AssignRows(std::vector<data::Tuple> rows);
 
   /// Natural join with `other` on shared variables.
   ValuationSet Join(const ValuationSet& other) const;
@@ -47,10 +70,11 @@ class ValuationSet {
                          const data::Domain& domain) const;
 
   /// All valuations over the current variables NOT in this set, relative to
-  /// `domain`^variables.
+  /// `domain`^variables. Flips the representation; enumerates nothing.
   ValuationSet ComplementWithin(const data::Domain& domain) const;
 
-  /// Removes the given variables (projecting rows, deduplicating).
+  /// Removes the given variables (projecting rows, deduplicating). A kept
+  /// row leaves a cofinite set only when every extension of it is excluded.
   ValuationSet ProjectAway(const std::vector<std::string>& away) const;
 
   /// Reorders (and possibly extends over `domain`) into the column order
@@ -58,9 +82,34 @@ class ValuationSet {
   data::Relation ToRelation(const std::vector<std::string>& out_vars,
                             const data::Domain& domain) const;
 
+  /// Union / intersection of `sets`, all over `variables` and relative to
+  /// `domain`, folded in one pass without extension. The union is cofinite
+  /// when any input is; the intersection when every input is.
+  static ValuationSet UnionAll(std::vector<std::string> variables,
+                               const std::vector<const ValuationSet*>& sets,
+                               const data::Domain& domain);
+  static ValuationSet IntersectAll(
+      std::vector<std::string> variables,
+      const std::vector<const ValuationSet*>& sets,
+      const data::Domain& domain);
+
  private:
+  /// A finite (`complemented` false) or cofinite set over sorted
+  /// `variables` from sorted unique `rows`, normalized: over no variables
+  /// or an empty domain, a cofinite set is stored in its finite form.
+  static ValuationSet Make(std::vector<std::string> variables,
+                           std::vector<data::Tuple> rows, bool complemented,
+                           const data::Domain& domain);
+
+  /// UnionAll over the sets, each complemented first when `negate`.
+  static ValuationSet FoldUnion(std::vector<std::string> variables,
+                                const std::vector<const ValuationSet*>& sets,
+                                const data::Domain& domain, bool negate);
+
   std::vector<std::string> variables_;  // sorted
   data::Relation rows_;                 // arity == variables_.size()
+  bool complemented_ = false;
+  data::Domain domain_;  // the universe of a cofinite set; empty otherwise
 };
 
 /// Evaluates FO formulas against a StructureView using active-domain
@@ -68,9 +117,10 @@ class ValuationSet {
 ///
 /// The evaluation strategy is bottom-up relational: each subformula yields
 /// the ValuationSet of its satisfying assignments, combined by join (and),
-/// extended union (or), complement (not) and projection (exists). This keeps
-/// cost proportional to the data actually matched by atoms rather than
-/// |domain|^#variables.
+/// extended union (or), complement (not) and projection (exists). Negation
+/// yields the cofinite form instead of enumerating the complement, so cost
+/// follows the rows atoms actually match (times |domain| per variable a
+/// join or union has to introduce), not |domain|^#variables.
 class Evaluator {
  public:
   /// `interner` resolves constant spellings to domain elements; every

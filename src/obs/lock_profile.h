@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/ledger.h"
 #include "obs/metrics.h"
@@ -13,7 +12,7 @@ namespace wsv::obs {
 
 /// One named lock site, reporting under the stable counter scheme
 ///
-///   lock.<site>.acquisitions  every successful lock()/lock_shared()
+///   lock.<site>.acquisitions  every successful lock()
 ///   lock.<site>.contended     acquisitions that had to wait
 ///   lock.<site>.wait_ns       total nanoseconds spent waiting
 ///
@@ -89,76 +88,6 @@ class TimedMutex {
 
  private:
   std::mutex mu_;
-#ifdef WSV_PROFILE
-  LockSite* site_;
-#endif
-};
-
-/// shared_mutex counterpart: exclusive and shared acquisitions both count
-/// toward the same site (a contended lock_shared is a writer holding the
-/// lock, which is exactly the contention worth seeing).
-class TimedSharedMutex {
- public:
-  explicit TimedSharedMutex([[maybe_unused]] const char* site)
-#ifdef WSV_PROFILE
-      : site_(&LockSite::ForName(site))
-#endif
-  {
-  }
-
-  TimedSharedMutex(const TimedSharedMutex&) = delete;
-  TimedSharedMutex& operator=(const TimedSharedMutex&) = delete;
-
-  void lock() {
-#ifdef WSV_PROFILE
-    if (mu_.try_lock()) {
-      site_->RecordUncontended();
-      return;
-    }
-    int64_t start = NowNanos();
-    mu_.lock();
-    site_->RecordContended(static_cast<uint64_t>(NowNanos() - start));
-#else
-    mu_.lock();
-#endif
-  }
-
-  bool try_lock() {
-    bool acquired = mu_.try_lock();
-#ifdef WSV_PROFILE
-    if (acquired) site_->RecordUncontended();
-#endif
-    return acquired;
-  }
-
-  void unlock() { mu_.unlock(); }
-
-  void lock_shared() {
-#ifdef WSV_PROFILE
-    if (mu_.try_lock_shared()) {
-      site_->RecordUncontended();
-      return;
-    }
-    int64_t start = NowNanos();
-    mu_.lock_shared();
-    site_->RecordContended(static_cast<uint64_t>(NowNanos() - start));
-#else
-    mu_.lock_shared();
-#endif
-  }
-
-  bool try_lock_shared() {
-    bool acquired = mu_.try_lock_shared();
-#ifdef WSV_PROFILE
-    if (acquired) site_->RecordUncontended();
-#endif
-    return acquired;
-  }
-
-  void unlock_shared() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
 #ifdef WSV_PROFILE
   LockSite* site_;
 #endif

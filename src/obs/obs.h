@@ -10,7 +10,7 @@
 //   progress.h     — periodic stderr heartbeat (rates + ETA)
 //   stats_json.h   — versioned stats-JSON document (schema v2)
 //   json_util.h    — streaming JSON writer + syntactic validator
-//   lock_profile.h — TimedMutex / TimedSharedMutex contention accounting
+//   lock_profile.h — TimedMutex contention accounting
 //
 // Conventions: counters and histograms are dot-namespaced by pipeline stage
 // ("engine.", "dbenum.", "graph.", "leafcache.", "ndfs.", "sim."); phase

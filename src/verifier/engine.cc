@@ -152,19 +152,6 @@ const char* ValuationModeName(ValuationMode mode) {
   return "concrete";
 }
 
-std::vector<std::vector<std::string>> EnumerateValuations(
-    const data::Domain& domain, const Interner& interner, size_t num_vars) {
-  ValuationSpace space(domain, interner, num_vars);
-  std::vector<std::vector<std::string>> out;
-  out.reserve(space.size());
-  std::vector<std::string> scratch;
-  for (size_t i = 0; i < space.size(); ++i) {
-    space.DecodeSpellings(i, &scratch);
-    out.push_back(scratch);
-  }
-  return out;
-}
-
 VerificationEngine::VerificationEngine(const spec::Composition* comp,
                                        const Interner* interner,
                                        data::Domain domain,
@@ -308,8 +295,8 @@ struct VerificationEngine::ValuationContext {
   PrefilterMemo* memo;
   const std::vector<bool>* rigid;
   SnapshotId init_sid;
-  const std::vector<const data::Relation*>* ever_sat;
-  const std::vector<const data::Relation*>* always_sat;
+  const std::vector<const fo::ValuationSet*>* ever_sat;
+  const std::vector<const fo::ValuationSet*>* always_sat;
   /// leaf_positions[i][k]: closure-variable position of leaf i's k-th free
   /// variable — hoisted out of the per-valuation loop, which previously did
   /// a string search per leaf variable per valuation.
@@ -336,9 +323,17 @@ struct ValuationClass {
 /// snapshot-membership profile (the set of snapshots containing it); each
 /// profile becomes a decision diagram — the OR of its row cubes over the
 /// leaf's closure positions — which is the leaf evaluated symbolically as
-/// a predicate on valuation indices. Rows no snapshot satisfies share the
+/// a predicate on valuation indices. Rows no snapshot lists share the
 /// ambient (complement) profile. Classes are the nonempty intersections of
 /// one profile diagram per leaf, intersected with the slice interval.
+///
+/// Rows are grouped by the snapshots that *list* them: a cofinite set lists
+/// the rows it excludes, so a row's membership profile is its listing
+/// profile with the sense flipped at every cofinite snapshot. That map is a
+/// bijection, so grouping by listing gives the same classes; the ambient
+/// profile is "every cofinite snapshot" rather than "none". This relies on
+/// the valuation space and the snapshot structures sharing one domain
+/// (checked in CheckDatabases).
 Result<std::vector<ValuationClass>> PartitionValuationClasses(
     SnapshotGraph* graph, LeafCache* cache, const ValuationSpace& space,
     const std::vector<std::vector<size_t>>& leaf_positions, size_t v_lo,
@@ -353,11 +348,11 @@ Result<std::vector<ValuationClass>> PartitionValuationClasses(
   std::vector<uint32_t> digits;
   for (size_t i = 0; i < num_leaves && !classes.empty(); ++i) {
     const std::vector<size_t>& slots = leaf_positions[i];
-    // Row -> sorted list of snapshots whose satisfying set contains it.
+    // Row -> sorted list of snapshots whose satisfying set lists it.
     std::map<data::Tuple, std::vector<SnapshotId>> row_profiles;
     for (SnapshotId sid = 0; sid < graph->size(); ++sid) {
       WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat, cache->Get(sid, i));
-      for (const data::Tuple& row : sat->rows()) {
+      for (const data::Tuple& row : sat->listed_rows()) {
         row_profiles[row].push_back(sid);
       }
     }
@@ -441,7 +436,7 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
     if ((*ctx.rigid)[i]) {
       WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat,
                            ctx.cache->Get(ctx.init_sid, i));
-      lane.rigid_truths[i] = sat->rows().Contains(leaf_rows[i]) ? 1 : 0;
+      lane.rigid_truths[i] = sat->Contains(leaf_rows[i]) ? 1 : 0;
     } else if ((*ctx.ever_sat)[i] != nullptr &&
                !(*ctx.ever_sat)[i]->Contains(leaf_rows[i])) {
       lane.rigid_truths[i] = 0;  // never satisfied anywhere in the graph
@@ -535,6 +530,14 @@ Result<bool> VerificationEngine::CheckDatabases(
           : std::string());
   runtime::TransitionGenerator generator(comp_, dbs, domain_, interner_,
                                          options_.run);
+  // Leaf sets may be cofinite relative to the snapshot structures' domain;
+  // the class partition reads valuation rows against them as if drawn from
+  // that same domain.
+  if (task.valuations.num_vars() > 0 &&
+      task.valuations.values() != generator.domain().values()) {
+    return Status::Internal(
+        "valuation space and snapshot structures use different domains");
+  }
   SnapshotNormalization normalization;
   normalization.keep_mover =
       AnyPropositionMentionsPrefix(task.leaves, "move_");
@@ -638,8 +641,9 @@ Result<bool> VerificationEngine::CheckDatabases(
   // Ever-satisfied unions per leaf (valid only over a complete graph): a
   // valuation row never satisfied anywhere makes its proposition
   // constant-false along every run.
-  std::vector<const data::Relation*> ever_sat(task.leaves.size(), nullptr);
-  std::vector<const data::Relation*> always_sat(task.leaves.size(), nullptr);
+  std::vector<const fo::ValuationSet*> ever_sat(task.leaves.size(), nullptr);
+  std::vector<const fo::ValuationSet*> always_sat(task.leaves.size(),
+                                                  nullptr);
   if (complete_graph) {
     for (size_t i = 0; i < task.leaves.size(); ++i) {
       WSV_ASSIGN_OR_RETURN(ever_sat[i], cache.EverSatisfied(i));

@@ -114,13 +114,6 @@ PseudoDomain BuildPseudoDomain(const spec::Composition& comp,
                                const std::set<std::string>& extra_constants,
                                size_t fresh_count);
 
-/// All valuations of `num_vars` variables over `domain`, as constant
-/// spellings — the materialized form of ValuationSpace, kept for callers
-/// that genuinely need the full list (and as the reference order the
-/// indexed decode is tested against).
-std::vector<std::vector<std::string>> EnumerateValuations(
-    const data::Domain& domain, const Interner& interner, size_t num_vars);
-
 /// How the engine covers the valuation space of one database.
 enum class ValuationMode {
   /// Enumerate every mixed-radix index (the historical fan-out).

@@ -131,14 +131,14 @@ Result<uint64_t> ProductSearch::ValuationBits(SnapshotId sid) {
     if (all_cubes_) {
       // Cube guards only read the packed bits — skip the vector<bool>.
       for (size_t p = 0; p < leaf_rows_.size(); ++p) {
-        if (p < 64 && (*sats)[p]->rows().Contains(leaf_rows_[p])) {
+        if (p < 64 && (*sats)[p]->Contains(leaf_rows_[p])) {
           bits |= uint64_t{1} << p;
         }
       }
     } else {
       std::vector<bool> valuation(leaf_rows_.size(), false);
       for (size_t p = 0; p < leaf_rows_.size(); ++p) {
-        if ((*sats)[p]->rows().Contains(leaf_rows_[p])) {
+        if ((*sats)[p]->Contains(leaf_rows_[p])) {
           valuation[p] = true;
           if (p < 64) bits |= uint64_t{1} << p;
         }

@@ -418,29 +418,37 @@ Status LeafCache::SealAndPopulate(ThreadPool* pool, size_t lanes) {
   return error;
 }
 
-Result<const data::Relation*> LeafCache::EverSatisfied(size_t leaf) {
+Result<std::vector<const fo::ValuationSet*>> LeafCache::AllSnapshots(
+    size_t leaf) {
+  std::vector<const fo::ValuationSet*> sets;
+  sets.reserve(graph_->size());
+  for (SnapshotId sid = 0; sid < graph_->size(); ++sid) {
+    WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat, Get(sid, leaf));
+    sets.push_back(sat);
+  }
+  return sets;
+}
+
+Result<const fo::ValuationSet*> LeafCache::EverSatisfied(size_t leaf) {
   if (ever_.size() < leaves_.size()) ever_.resize(leaves_.size());
   if (!ever_[leaf].has_value()) {
-    data::Relation all(leaf_vars_[leaf].size());
-    for (SnapshotId sid = 0; sid < graph_->size(); ++sid) {
-      WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat, Get(sid, leaf));
-      all = all.Union(sat->rows());
-    }
-    ever_[leaf] = std::move(all);
+    WSV_ASSIGN_OR_RETURN(std::vector<const fo::ValuationSet*> sets,
+                         AllSnapshots(leaf));
+    ever_[leaf] = fo::ValuationSet::UnionAll(
+        leaf_vars_[leaf], sets, graph_->generator().domain());
   }
   return &*ever_[leaf];
 }
 
-Result<const data::Relation*> LeafCache::AlwaysSatisfied(size_t leaf) {
+Result<const fo::ValuationSet*> LeafCache::AlwaysSatisfied(size_t leaf) {
   if (always_.size() < leaves_.size()) always_.resize(leaves_.size());
   if (!always_[leaf].has_value()) {
-    data::Relation common(leaf_vars_[leaf].size());
-    for (SnapshotId sid = 0; sid < graph_->size(); ++sid) {
-      WSV_ASSIGN_OR_RETURN(const fo::ValuationSet* sat, Get(sid, leaf));
-      common = sid == 0 ? sat->rows() : common.Intersection(sat->rows());
-      if (common.empty()) break;
-    }
-    always_[leaf] = std::move(common);
+    WSV_ASSIGN_OR_RETURN(std::vector<const fo::ValuationSet*> sets,
+                         AllSnapshots(leaf));
+    always_[leaf] =
+        sets.empty() ? fo::ValuationSet(leaf_vars_[leaf])
+                     : fo::ValuationSet::IntersectAll(
+                           leaf_vars_[leaf], sets, graph_->generator().domain());
   }
   return &*always_[leaf];
 }

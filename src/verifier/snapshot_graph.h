@@ -196,11 +196,13 @@ class LeafCache {
   /// snapshots; requires graph->fully_explored(). A valuation row absent
   /// from this union makes the proposition constant-false along every run —
   /// the engine then discharges the instance by automaton emptiness alone.
-  Result<const data::Relation*> EverSatisfied(size_t leaf);
+  /// Cofinite when any snapshot's set is.
+  Result<const fo::ValuationSet*> EverSatisfied(size_t leaf);
 
   /// Intersection over all reachable snapshots: rows satisfied *everywhere*
-  /// make the proposition constant-true along every run.
-  Result<const data::Relation*> AlwaysSatisfied(size_t leaf);
+  /// make the proposition constant-true along every run. Cofinite when
+  /// every snapshot's set is; empty on an empty graph.
+  Result<const fo::ValuationSet*> AlwaysSatisfied(size_t leaf);
 
   /// Get() calls answered from an already-evaluated snapshot...
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -212,14 +214,17 @@ class LeafCache {
   /// cache_ must already span sid.
   Status EvaluateSnapshot(SnapshotId sid);
 
+  /// Leaf `leaf`'s set at every snapshot, in snapshot order.
+  Result<std::vector<const fo::ValuationSet*>> AllSnapshots(size_t leaf);
+
   SnapshotGraph* graph_;
   std::vector<fo::FormulaPtr> leaves_;
   std::vector<std::vector<std::string>> leaf_vars_;
   fo::Evaluator evaluator_;
   /// cache_[sid][leaf]
   std::vector<std::vector<std::optional<fo::ValuationSet>>> cache_;
-  std::vector<std::optional<data::Relation>> ever_;
-  std::vector<std::optional<data::Relation>> always_;
+  std::vector<std::optional<fo::ValuationSet>> ever_;
+  std::vector<std::optional<fo::ValuationSet>> always_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
 };

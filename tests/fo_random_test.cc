@@ -1,5 +1,6 @@
 // Randomized differential test: the relational FO evaluator (joins,
-// complements, projections over ValuationSets) against a brute-force oracle
+// complements, projections over finite and cofinite ValuationSets, read
+// through ValuationSet::Contains) against a brute-force oracle
 // that enumerates assignments and evaluates formulas by direct recursion.
 
 #include <gtest/gtest.h>
@@ -106,33 +107,39 @@ bool Oracle(const FormulaPtr& f, const StructureView& structure,
   return false;
 }
 
-/// Random formula generator over schema {r/1, s/2, flag/0} with variables
-/// {x, y, z} and constants {"a", "b"}.
+/// Random formula generator over schema {r/1, s/2, t/3, flag/0} with
+/// variables {x, y, z} and constants {"a", "b"}. Closures bind up to three
+/// variables and negation often lands directly on a multi-variable atom:
+/// the shape whose complements are dense (cofinite) over domain^3.
 class RandomFormula {
  public:
   explicit RandomFormula(std::mt19937& rng) : rng_(rng) {}
 
   FormulaPtr Generate(int depth) {
-    int pick = Int(0, depth <= 0 ? 2 : 7);
+    int pick = Int(0, depth <= 0 ? 3 : 9);
     switch (pick) {
       case 0:
         return Formula::Atom("r", {RandomTerm()});
       case 1:
         return Formula::Atom("s", {RandomTerm(), RandomTerm()});
       case 2:
+        return Formula::Atom("t", {RandomTerm(), RandomTerm(), RandomTerm()});
+      case 3:
         return Int(0, 1) ? Formula::Atom("flag", {})
                          : Formula::Equality(RandomTerm(), RandomTerm());
-      case 3:
-        return Formula::Not(Generate(depth - 1));
       case 4:
-        return Formula::And(Generate(depth - 1), Generate(depth - 1));
+        return Formula::Not(Generate(depth - 1));
       case 5:
-        return Formula::Or(Generate(depth - 1), Generate(depth - 1));
+        return Formula::Not(Generate(0));
       case 6:
+        return Formula::And(Generate(depth - 1), Generate(depth - 1));
+      case 7:
+        return Formula::Or(Generate(depth - 1), Generate(depth - 1));
+      case 8:
         return Formula::Implies(Generate(depth - 1), Generate(depth - 1));
       default: {
         std::vector<std::string> vars{Var()};
-        if (Int(0, 2) == 0) vars.push_back(Var());
+        for (int extra = Int(0, 2); extra > 0; --extra) vars.push_back(Var());
         FormulaPtr body = Generate(depth - 1);
         return Int(0, 1) ? Formula::Exists(vars, body)
                          : Formula::Forall(vars, body);
@@ -163,6 +170,7 @@ TEST_P(FoRandomTest, RelationalEvaluatorMatchesBruteForce) {
   data::Value a = interner.Intern("a");
   data::Value b = interner.Intern("b");
   data::Value c = interner.Intern("c");
+  data::Value outside = interner.Intern("d");
   std::vector<data::Value> domain{a, b, c};
 
   for (int round = 0; round < 40; ++round) {
@@ -171,17 +179,22 @@ TEST_P(FoRandomTest, RelationalEvaluatorMatchesBruteForce) {
     structure.SetDomain(data::Domain(domain));
     data::Relation r(1);
     data::Relation s(2);
+    data::Relation t(3);
     data::Relation flag(0);
     std::uniform_int_distribution<int> coin(0, 1);
     for (data::Value v : domain) {
       if (coin(rng)) r.Insert({v});
       for (data::Value w : domain) {
         if (coin(rng)) s.Insert({v, w});
+        for (data::Value u : domain) {
+          if (coin(rng)) t.Insert({v, w, u});
+        }
       }
     }
     if (coin(rng)) flag.Insert(data::Tuple{});
     structure.Set("r", r);
     structure.Set("s", s);
+    structure.Set("t", t);
     structure.Set("flag", flag);
 
     RandomFormula generator(rng);
@@ -197,6 +210,7 @@ TEST_P(FoRandomTest, RelationalEvaluatorMatchesBruteForce) {
     auto frees = formula->FreeVariables();
     std::vector<std::string> free_list(frees.begin(), frees.end());
     std::vector<size_t> idx(free_list.size(), 0);
+    bool any_true = false;
     while (true) {
       Assignment env;
       std::vector<data::Value> row;
@@ -208,11 +222,16 @@ TEST_P(FoRandomTest, RelationalEvaluatorMatchesBruteForce) {
         row.push_back(env[result->variables()[i]]);
       }
       bool expected = Oracle(formula, structure, interner, env);
-      bool actual = free_list.empty()
-                        ? result->IsSatisfiable()
-                        : result->rows().Contains(data::Tuple(row));
-      ASSERT_EQ(expected, actual)
+      ASSERT_EQ(expected, result->Contains(data::Tuple(row)))
           << "formula: " << formula->ToString() << "\nround " << round;
+      any_true = any_true || expected;
+      // A row with a value outside the evaluation domain is in no result:
+      // atoms and constants only produce domain values.
+      if (!free_list.empty()) {
+        row[0] = outside;
+        ASSERT_FALSE(result->Contains(data::Tuple(row)))
+            << "formula: " << formula->ToString() << "\nround " << round;
+      }
       if (free_list.empty()) break;
       size_t i = 0;
       while (i < idx.size()) {
@@ -222,6 +241,8 @@ TEST_P(FoRandomTest, RelationalEvaluatorMatchesBruteForce) {
       }
       if (i == idx.size()) break;
     }
+    ASSERT_EQ(any_true, result->IsSatisfiable())
+        << "formula: " << formula->ToString() << "\nround " << round;
   }
 }
 
@@ -248,17 +269,22 @@ TEST_P(FoRandomTest, LogicBackendsMatchBruteForce) {
     structure.SetDomain(data::Domain(domain));
     data::Relation r(1);
     data::Relation s(2);
+    data::Relation t(3);
     data::Relation flag(0);
     std::uniform_int_distribution<int> coin(0, 1);
     for (data::Value v : domain) {
       if (coin(rng)) r.Insert({v});
       for (data::Value w : domain) {
         if (coin(rng)) s.Insert({v, w});
+        for (data::Value u : domain) {
+          if (coin(rng)) t.Insert({v, w, u});
+        }
       }
     }
     if (coin(rng)) flag.Insert(data::Tuple{});
     structure.Set("r", r);
     structure.Set("s", s);
+    structure.Set("t", t);
     structure.Set("flag", flag);
 
     RandomFormula generator(rng);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ltl/property.h"
+#include "obs/metrics.h"
 #include "spec/library.h"
 #include "verifier/verifier.h"
 
@@ -10,16 +11,25 @@ namespace {
 using spec::library::LoanComposition;
 
 /// One customer (c1 / s1 / ann) wanting one loan, with a "good" (middling)
-/// credit record and one open account.
-std::vector<NamedDatabase> SmallLoanDatabase(const std::string& category) {
+/// credit record and, unless `with_accounts` is false, one open account.
+std::vector<NamedDatabase> SmallLoanDatabase(const std::string& category,
+                                             bool with_accounts = true) {
   std::vector<NamedDatabase> dbs(4);
   dbs[0]["wants"] = {{"c1", "l1"}};                       // Customer
   dbs[1]["customer"] = {{"c1", "s1", "ann"}};             // Officer
   dbs[2]["client"] = {{"c1", "s1", "ann"}};               // Manager
   dbs[3]["creditRecord"] = {{"s1", category}};            // CreditAgency
-  dbs[3]["accounts"] = {{"s1", "a1", "b1"}};
+  if (with_accounts) dbs[3]["accounts"] = {{"s1", "a1", "b1"}};
   return dbs;
 }
+
+/// The paper's Example 3.2 policy property in its displayed B form.
+constexpr char kDisplayedPolicy[] =
+    "forall id, name, loan: "
+    "G[((exists ssn: CreditAgency.rating(ssn, \"excellent\") and "
+    "Officer.customer(id, ssn, name)) "
+    "or Manager.decision(id, \"approved\")) "
+    "B (not Officer.letter(id, name, loan, \"approved\"))]";
 
 class LoanVerifyTest : public ::testing::Test {
  protected:
@@ -31,11 +41,12 @@ class LoanVerifyTest : public ::testing::Test {
 
   VerificationResult Check(const std::string& property_text,
                            const std::string& category = "good",
-                           size_t max_states = 2000000) {
+                           size_t max_states = 2000000,
+                           bool with_accounts = true) {
     auto property = ltl::Property::Parse(property_text);
     EXPECT_TRUE(property.ok()) << property.status();
     VerifierOptions options;
-    options.fixed_databases = SmallLoanDatabase(category);
+    options.fixed_databases = SmallLoanDatabase(category, with_accounts);
     options.fresh_domain_size = 0;  // db values + constants only... see note
     options.budget.max_states = max_states;
     // fresh_domain_size = 0 selects the sufficient bound, which is huge;
@@ -100,14 +111,20 @@ TEST_F(LoanVerifyTest, DisplayedPolicyFormIsViolatedUnderQueueSemantics) {
   // out-queue views, is refuted under the formal semantics: the decision
   // message is consumed before the letter snapshot, so the guard cannot be
   // observed at letter time (documented in EXPERIMENTS.md).
-  VerificationResult r = Check(
-      "forall id, name, loan: "
-      "G[((exists ssn: CreditAgency.rating(ssn, \"excellent\") and "
-      "Officer.customer(id, ssn, name)) "
-      "or Manager.decision(id, \"approved\")) "
-      "B (not Officer.letter(id, name, loan, \"approved\"))]",
-      "good");
+  VerificationResult r = Check(kDisplayedPolicy, "good");
   EXPECT_FALSE(r.holds);
+}
+
+TEST_F(LoanVerifyTest, DisplayedPolicyLeavesAreNeverMaterialized) {
+  // The negated ternary leaf stays in cofinite form at every snapshot: its
+  // sets list the few letters written, never the |domain|^3 others.
+  obs::Counter& materializations =
+      obs::Registry::Global().counter("fo.cofinite_materializations");
+  const uint64_t before = materializations.value();
+  VerificationResult r = Check(kDisplayedPolicy, "good", 2000000,
+                               /*with_accounts=*/false);
+  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(materializations.value(), before);
 }
 
 TEST_F(LoanVerifyTest, Property11FailsUnderLossyUnfairSemantics) {
