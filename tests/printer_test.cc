@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cfsm/embed.h"
 #include "ltl/property.h"
 #include "spec/library.h"
@@ -44,11 +46,20 @@ void ExpectStructurallyEqual(const Composition& a, const Composition& b) {
   }
 }
 
-class PrinterRoundTripTest
-    : public ::testing::TestWithParam<Result<Composition> (*)()> {};
+// One library composition. Printed by name, so the case name that test
+// discovery derives from the parameter is stable across runs (a bare function
+// pointer would print as its load address, which varies from run to run).
+struct LibraryCase {
+  const char* name;
+  Result<Composition> (*build)();
+};
+
+void PrintTo(const LibraryCase& c, std::ostream* os) { *os << c.name; }
+
+class PrinterRoundTripTest : public ::testing::TestWithParam<LibraryCase> {};
 
 TEST_P(PrinterRoundTripTest, PrintedSpecReparsesEquivalently) {
-  auto original = GetParam()();
+  auto original = GetParam().build();
   ASSERT_TRUE(original.ok()) << original.status();
   std::string printed = PrintComposition(*original);
   auto reparsed = ParseComposition(printed);
@@ -59,12 +70,14 @@ TEST_P(PrinterRoundTripTest, PrintedSpecReparsesEquivalently) {
   EXPECT_EQ(printed, PrintComposition(*reparsed));
 }
 
-INSTANTIATE_TEST_SUITE_P(Library, PrinterRoundTripTest,
-                         ::testing::Values(&library::LoanComposition,
-                                           &library::OfficerOnlyComposition,
-                                           &library::BookstoreComposition,
-                                           &library::AirlineComposition,
-                                           &library::MotoGpComposition));
+INSTANTIATE_TEST_SUITE_P(
+    Library, PrinterRoundTripTest,
+    ::testing::Values(LibraryCase{"Loan", &library::LoanComposition},
+                      LibraryCase{"OfficerOnly",
+                                  &library::OfficerOnlyComposition},
+                      LibraryCase{"Bookstore", &library::BookstoreComposition},
+                      LibraryCase{"Airline", &library::AirlineComposition},
+                      LibraryCase{"MotoGp", &library::MotoGpComposition}));
 
 TEST(PrinterRoundTrip, ShopWithLookback) {
   auto original = library::ShopComposition(3);
