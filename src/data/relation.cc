@@ -31,6 +31,19 @@ bool Relation::Erase(const Tuple& t) {
 
 void Relation::AssignSorted(std::vector<Tuple> tuples) {
   tuples_ = std::move(tuples);
+  CheckSorted();
+}
+
+void Relation::AssignSortedRows(const Value* rows, size_t count) {
+  tuples_.clear();
+  tuples_.reserve(count);
+  for (size_t t = 0; t < count; ++t, rows += arity_) {
+    tuples_.emplace_back(rows, arity_);
+  }
+  CheckSorted();
+}
+
+void Relation::CheckSorted() const {
 #ifndef NDEBUG
   for (size_t i = 0; i < tuples_.size(); ++i) {
     assert(tuples_[i].arity() == arity_ && "tuple arity mismatch");

@@ -48,6 +48,11 @@ class Relation {
   /// per decode would be pure waste.
   void AssignSorted(std::vector<Tuple> tuples);
 
+  /// As AssignSorted, from `count` rows of arity() values laid out back to
+  /// back at `rows`. Reuses the tuple storage: once the relation has held
+  /// `count` tuples, reassigning allocates nothing.
+  void AssignSortedRows(const Value* rows, size_t count);
+
   /// Adds every element appearing in some tuple to `domain`.
   void CollectActiveDomain(Domain& domain) const;
 
@@ -69,6 +74,9 @@ class Relation {
   size_t Hash() const;
 
  private:
+  /// Debug-build check of the AssignSorted precondition.
+  void CheckSorted() const;
+
   size_t arity_;
   std::vector<Tuple> tuples_;  // sorted, unique
 };

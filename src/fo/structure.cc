@@ -1,21 +1,12 @@
 #include "fo/structure.h"
 
-#include "common/strings.h"
-
 namespace wsv::fo {
 
-const data::Relation* LayeredStructure::Find(const std::string& name) const {
-  auto it = extra_.find(name);
-  if (it != extra_.end()) return it->second;
-  // Search layers back-to-front so later layers shadow earlier ones.
-  for (auto layer = layers_.rbegin(); layer != layers_.rend(); ++layer) {
-    const std::string& prefix = layer->first;
-    if (!StartsWith(name, prefix)) continue;
-    std::string local = name.substr(prefix.size());
-    size_t idx = layer->second->schema()->IndexOf(local);
-    if (idx != data::Schema::kNpos) return &layer->second->relation(idx);
-  }
-  return nullptr;
+size_t SlotNames::Add(const std::string& name) {
+  auto [it, inserted] =
+      slots_.emplace(name, static_cast<uint32_t>(names_.size()));
+  if (inserted) names_.push_back(name);
+  return it->second;
 }
 
 }  // namespace wsv::fo

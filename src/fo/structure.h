@@ -1,12 +1,12 @@
 #ifndef WSVERIFY_FO_STRUCTURE_H_
 #define WSVERIFY_FO_STRUCTURE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "data/instance.h"
 #include "data/relation.h"
 #include "data/value.h"
 
@@ -31,59 +31,58 @@ class StructureView {
   virtual const data::Domain& EvaluationDomain() const = 0;
 };
 
-/// A structure backed by an explicit name -> relation map.
-class MapStructure : public StructureView {
+/// A fixed name -> slot table, built once per structure shape and shared by
+/// every SlotStructure of that shape.
+class SlotNames {
  public:
-  MapStructure() = default;
+  static constexpr size_t kNone = static_cast<size_t>(-1);
 
-  /// Registers `relation` under `name` (replacing any previous binding).
-  void Set(std::string name, data::Relation relation) {
-    relations_[std::move(name)] = std::move(relation);
+  /// Returns the slot of `name`, adding a new slot for a new name. A
+  /// repeated name keeps its slot, so whoever binds slots in Add order lets
+  /// the later binding win.
+  size_t Add(const std::string& name);
+
+  /// The slot of `name`, or kNone.
+  size_t Lookup(const std::string& name) const {
+    auto it = slots_.find(name);
+    return it == slots_.end() ? kNone : it->second;
   }
 
-  data::Domain& mutable_domain() { return domain_; }
-  void SetDomain(data::Domain domain) { domain_ = std::move(domain); }
-
-  const data::Relation* Find(const std::string& name) const override {
-    auto it = relations_.find(name);
-    return it == relations_.end() ? nullptr : &it->second;
-  }
-
-  const data::Domain& EvaluationDomain() const override { return domain_; }
+  size_t size() const { return names_.size(); }
+  const std::string& name(size_t slot) const { return names_[slot]; }
 
  private:
-  std::unordered_map<std::string, data::Relation> relations_;
-  data::Domain domain_;
+  std::unordered_map<std::string, uint32_t> slots_;
+  std::vector<std::string> names_;  // by slot
 };
 
-/// A structure that exposes several instances, each under a name prefix
-/// (e.g. "Officer." for peer qualification, "" for peer-local access),
-/// without copying relations. Later layers shadow earlier ones.
-class LayeredStructure : public StructureView {
+/// A structure whose slots borrow relations owned elsewhere (a snapshot,
+/// the databases, shared constants). Binding a slot copies one pointer, so
+/// one structure can be re-pointed at snapshot after snapshot without
+/// copying any relation. Every bound relation, the name table and the
+/// domain must outlive each Find.
+class SlotStructure : public StructureView {
  public:
-  /// Adds `instance` whose relations are visible as `prefix` + name.
-  /// `instance` must outlive this view.
-  void AddLayer(std::string prefix, const data::Instance* instance) {
-    layers_.emplace_back(std::move(prefix), instance);
+  SlotStructure(const SlotNames* names, const data::Domain* domain)
+      : names_(names), slots_(names->size(), nullptr), domain_(domain) {}
+
+  const SlotNames& names() const { return *names_; }
+
+  void Bind(size_t slot, const data::Relation* relation) {
+    slots_[slot] = relation;
   }
 
-  /// Adds a single named relation (e.g. a queue view). `relation` must
-  /// outlive this view.
-  void AddRelation(std::string name, const data::Relation* relation) {
-    extra_[std::move(name)] = relation;
+  const data::Relation* Find(const std::string& name) const override {
+    size_t slot = names_->Lookup(name);
+    return slot == SlotNames::kNone ? nullptr : slots_[slot];
   }
 
-  void SetDomain(data::Domain domain) { domain_ = std::move(domain); }
-  data::Domain& mutable_domain() { return domain_; }
-
-  const data::Relation* Find(const std::string& name) const override;
-
-  const data::Domain& EvaluationDomain() const override { return domain_; }
+  const data::Domain& EvaluationDomain() const override { return *domain_; }
 
  private:
-  std::vector<std::pair<std::string, const data::Instance*>> layers_;
-  std::unordered_map<std::string, const data::Relation*> extra_;
-  data::Domain domain_;
+  const SlotNames* names_;
+  std::vector<const data::Relation*> slots_;
+  const data::Domain* domain_;
 };
 
 }  // namespace wsv::fo

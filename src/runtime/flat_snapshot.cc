@@ -60,13 +60,6 @@ void AppendRelation(const data::Relation& rel, std::vector<uint32_t>* out) {
 FlatSnapshotCodec::FlatSnapshotCodec(const spec::Composition* comp)
     : comp_(comp) {
   for (const spec::Peer& peer : comp_->peers()) {
-    for (size_t part = 0; part < 4; ++part) {
-      const data::Schema& schema = PartSchema(peer, part);
-      for (size_t r = 0; r < schema.size(); ++r) {
-        part_arities_.push_back(
-            static_cast<uint32_t>(schema.relation(r).arity()));
-      }
-    }
     send_error_counts_.push_back(
         static_cast<uint32_t>(peer.out_queues().size()));
   }
@@ -142,42 +135,31 @@ void FlatSnapshotCodec::Decode(FlatSnapshot flat, Snapshot* out) const {
     }
   }
 
-  auto read_tuples = [&](uint32_t arity) {
+  // Every relation is rebuilt in its existing tuple storage.
+  auto read_relation = [&](data::Relation& rel) {
     uint32_t count = *p++;
-    std::vector<data::Tuple> tuples;
-    tuples.reserve(count);
-    for (uint32_t t = 0; t < count; ++t) {
-      tuples.emplace_back(p, arity);
-      p += arity;
-    }
-    return tuples;
+    rel.AssignSortedRows(p, count);
+    p += static_cast<size_t>(count) * rel.arity();
   };
 
-  size_t flat_rel = 0;
   for (size_t i = 0; i < peers.size(); ++i) {
     PeerConfig& cfg = out->peers[i];
     for (size_t part = 0; part < 4; ++part) {
       const data::Schema& schema = PartSchema(peers[i], part);
       data::Instance& inst = PartInstance(cfg, part);
       if (inst.schema() != &schema) inst = data::Instance(&schema);
-      for (size_t r = 0; r < schema.size(); ++r, ++flat_rel) {
-        inst.relation(r).AssignSorted(read_tuples(part_arities_[flat_rel]));
+      for (size_t r = 0; r < schema.size(); ++r) {
+        read_relation(inst.relation(r));
       }
     }
   }
 
   out->channels.resize(num_channels);
   for (size_t c = 0; c < num_channels; ++c) {
-    uint32_t arity = channel_arities_[c];
     uint32_t messages = *p++;
     auto& queue = out->channels[c];
-    queue.clear();
-    queue.reserve(messages);
-    for (uint32_t m = 0; m < messages; ++m) {
-      data::Relation msg(arity);
-      msg.AssignSorted(read_tuples(arity));
-      queue.push_back(std::move(msg));
-    }
+    queue.resize(messages, data::Relation(channel_arities_[c]));
+    for (data::Relation& msg : queue) read_relation(msg);
   }
   assert(p == end && "flat snapshot span length mismatch");
 }

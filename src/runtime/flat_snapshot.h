@@ -90,8 +90,6 @@ class FlatSnapshotCodec {
 
  private:
   const spec::Composition* comp_;
-  /// Arity per (peer, part, relation), flattened in encode order.
-  std::vector<uint32_t> part_arities_;
   /// Arity per channel.
   std::vector<uint32_t> channel_arities_;
   /// send_errors lengths per peer (out_queues count).

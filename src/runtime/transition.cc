@@ -4,17 +4,6 @@
 
 namespace wsv::runtime {
 
-namespace {
-
-/// Sets a 0-ary relation to the given truth value.
-data::Relation PropRelation(bool value) {
-  data::Relation r(0);
-  if (value) r.Insert(data::Tuple{});
-  return r;
-}
-
-}  // namespace
-
 TransitionGenerator::TransitionGenerator(const spec::Composition* comp,
                                          std::vector<data::Instance> databases,
                                          data::Domain domain,
@@ -61,6 +50,34 @@ TransitionGenerator::TransitionGenerator(const spec::Composition* comp,
     for (size_t q = 0; q < peer.in_queues().size(); ++q) {
       if (mentioned.count(peer.in_queues()[q].name) > 0) w.consumes[q] = true;
     }
+
+    // Rule layouts, in the binding order of Definition 2.4's structure:
+    // database, state, previous inputs, inputs, then the queue views f(Q)
+    // and empty_Q, then the send-error flags (Theorem 3.8: consultable by
+    // rules; constant false outside the deterministic-send semantics).
+    using Source = StructureLayout::Source;
+    const int pi = static_cast<int>(p);
+    for (bool include_input : {false, true}) {
+      StructureLayout& layout = rule_layouts_.emplace_back(comp_);
+      layout.AddSchema("", peer.database_schema(), Source::kDatabase, pi);
+      layout.AddSchema("", peer.declared_state_schema(), Source::kState, pi);
+      layout.AddSchema("", peer.prev_input_schema(), Source::kPrev, pi);
+      if (include_input) {
+        layout.AddSchema("", peer.input_schema(), Source::kInput, pi);
+      }
+      for (size_t q = 0; q < peer.in_queues().size(); ++q) {
+        const std::string& name = peer.in_queues()[q].name;
+        const uint32_t channel = static_cast<uint32_t>(w.in_channel[q]);
+        layout.Add(name, Source::kQueueFirst, pi, channel);
+        layout.Add(spec::QueueEmptyStateName(name), Source::kQueueEmpty, pi,
+                   channel);
+      }
+      for (size_t q = 0; q < peer.out_queues().size(); ++q) {
+        if (peer.out_queues()[q].kind != spec::QueueKind::kFlat) continue;
+        layout.Add("error_" + peer.out_queues()[q].name, Source::kSendError,
+                   pi, static_cast<uint32_t>(q));
+      }
+    }
   }
 }
 
@@ -72,78 +89,54 @@ bool TransitionGenerator::ChannelIsLossy(spec::QueueKind kind) const {
   return true;
 }
 
-Result<fo::MapStructure> TransitionGenerator::BuildRuleStructure(
-    const Snapshot& snap, size_t peer_index, bool include_input) const {
-  const spec::Peer& peer = comp_->peers()[peer_index];
-  const PeerConfig& cfg = snap.peers[peer_index];
-  fo::MapStructure structure;
-  structure.SetDomain(domain_);
-
-  const data::Instance& db = databases_[peer_index];
-  for (size_t i = 0; i < db.schema()->size(); ++i) {
-    structure.Set(db.schema()->relation(i).name, db.relation(i));
-  }
-  for (size_t i = 0; i < cfg.state.schema()->size(); ++i) {
-    structure.Set(cfg.state.schema()->relation(i).name, cfg.state.relation(i));
-  }
-  for (size_t i = 0; i < cfg.prev.schema()->size(); ++i) {
-    structure.Set(cfg.prev.schema()->relation(i).name, cfg.prev.relation(i));
-  }
-  if (include_input) {
-    for (size_t i = 0; i < cfg.input.schema()->size(); ++i) {
-      structure.Set(cfg.input.schema()->relation(i).name,
-                    cfg.input.relation(i));
-    }
-  }
-  // Queue views: f(Q) (first message) and the empty_Q queue-state.
-  for (size_t q = 0; q < peer.in_queues().size(); ++q) {
-    const spec::QueueDecl& decl = peer.in_queues()[q];
-    const auto& queue = snap.channels[wiring_[peer_index].in_channel[q]];
-    structure.Set(decl.name, queue.empty() ? data::Relation(decl.arity())
-                                           : queue.front());
-    structure.Set(spec::QueueEmptyStateName(decl.name),
-                  PropRelation(queue.empty()));
-  }
-  // Send-error flags (Theorem 3.8: consultable by rules and properties;
-  // constant false outside the deterministic-send semantics).
-  for (size_t q = 0; q < peer.out_queues().size(); ++q) {
-    if (peer.out_queues()[q].kind != spec::QueueKind::kFlat) continue;
-    structure.Set("error_" + peer.out_queues()[q].name,
-                  PropRelation(q < cfg.send_errors.size() &&
-                               cfg.send_errors[q]));
-  }
+fo::SlotStructure TransitionGenerator::RuleStructure(const Snapshot& snap,
+                                                     size_t peer_index,
+                                                     bool include_input) const {
+  const StructureLayout& layout = RuleLayout(peer_index, include_input);
+  fo::SlotStructure structure(&layout.names(), &domain_);
+  layout.Bind(databases_, snap, &structure);
   return structure;
 }
 
-Result<std::vector<data::Instance>> TransitionGenerator::EnumerateInputChoices(
-    const spec::Peer& peer, const fo::MapStructure& base) const {
-  // Evaluate the options rule of every input relation, then form all
-  // combinations of "no input" plus each option tuple (Definition 2.3).
-  std::vector<data::Instance> combos;
-  combos.emplace_back(&peer.input_schema());
+Status TransitionGenerator::AddInputDigits(
+    size_t peer_index, const fo::StructureView& structure,
+    std::vector<InputDigit>* digits) const {
+  const spec::Peer& peer = comp_->peers()[peer_index];
   for (size_t i = 0; i < peer.input_schema().size(); ++i) {
-    const data::RelationSchema& rel = peer.input_schema().relation(i);
+    const std::string& name = peer.input_schema().relation(i).name;
     const spec::Rule* rule =
-        peer.FindRule(spec::RuleKind::kInputOptions, rel.name);
-    data::Relation options(rel.arity());
-    if (rule != nullptr) {
-      WSV_ASSIGN_OR_RETURN(
-          options, evaluator_.EvaluateQuery(rule->body, rule->head_vars, base));
-    }
-    if (options.empty()) continue;  // only "no input" possible
-    std::vector<data::Instance> expanded;
-    expanded.reserve(combos.size() * (options.size() + 1));
-    for (const data::Instance& combo : combos) {
-      expanded.push_back(combo);  // pick nothing
-      for (const data::Tuple& t : options) {
-        data::Instance with = combo;
-        with.relation(i).Insert(t);
-        expanded.push_back(std::move(with));
-      }
-    }
-    combos = std::move(expanded);
+        peer.FindRule(spec::RuleKind::kInputOptions, name);
+    if (rule == nullptr) continue;  // only "no input" possible
+    WSV_ASSIGN_OR_RETURN(
+        data::Relation options,
+        evaluator_.EvaluateQuery(rule->body, rule->head_vars, structure));
+    if (options.empty()) continue;
+    digits->push_back(InputDigit{peer_index, i, std::move(options)});
   }
-  return combos;
+  return Status::Ok();
+}
+
+void TransitionGenerator::ForEachInputChoice(std::vector<InputDigit>& digits,
+                                             Snapshot* scratch,
+                                             const SuccessorSink& sink) {
+  while (true) {
+    sink(*scratch);
+    // Advance the odometer: the last digit moves fastest; a digit that runs
+    // past its last option wraps to "no input" and carries.
+    size_t i = digits.size();
+    while (true) {
+      if (i == 0) return;
+      InputDigit& digit = digits[--i];
+      data::Relation& input =
+          scratch->peers[digit.peer].input.relation(digit.relation);
+      input.Clear();
+      if (++digit.position <= digit.options.size()) {
+        input.Insert(digit.options.tuples()[digit.position - 1]);
+        break;
+      }
+      digit.position = 0;
+    }
+  }
 }
 
 void TransitionGenerator::DeliverMessages(
@@ -172,8 +165,8 @@ void TransitionGenerator::DeliverMessages(
   }
 }
 
-Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
-    const Snapshot& snap, size_t peer_index) const {
+Status TransitionGenerator::ForEachPeerSuccessor(
+    const Snapshot& snap, size_t peer_index, const SuccessorSink& sink) const {
   const spec::Peer& peer = comp_->peers()[peer_index];
   const PeerWiring& wiring = wiring_[peer_index];
 
@@ -181,26 +174,27 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
   // current configuration* (Definition 2.3 requires it to be
   // options-consistent there); the successor's input is re-chosen below
   // against the successor configuration.
-  WSV_ASSIGN_OR_RETURN(fo::MapStructure structure,
-                       BuildRuleStructure(snap, peer_index,
-                                          /*include_input=*/true));
+  fo::SlotStructure structure =
+      RuleStructure(snap, peer_index, /*include_input=*/true);
 
+  // The successor is updated in place: every rule reads `structure`, which
+  // borrows from `snap`, the *current* configuration (snapshot semantics).
+  const PeerConfig& current = snap.peers[peer_index];
   Snapshot next = snap;
   next.mover = static_cast<int>(peer_index);
   next.received.assign(next.received.size(), false);
   next.sent.assign(next.sent.size(), false);
   PeerConfig& cfg = next.peers[peer_index];
 
-  // --- State updates (snapshot semantics: all rules read `structure`,
-  // which reflects the *current* configuration). ---
-  data::Instance new_state = cfg.state;
+  // --- State updates. ---
   for (size_t s = 0; s < peer.declared_state_schema().size(); ++s) {
     const std::string& name = peer.declared_state_schema().relation(s).name;
     const spec::Rule* ins = peer.FindRule(spec::RuleKind::kStateInsert, name);
     const spec::Rule* del = peer.FindRule(spec::RuleKind::kStateDelete, name);
     if (ins == nullptr && del == nullptr) continue;  // state unchanged
-    data::Relation plus(cfg.state.relation(s).arity());
-    data::Relation minus(cfg.state.relation(s).arity());
+    const data::Relation& now = current.state.relation(s);
+    data::Relation plus(now.arity());
+    data::Relation minus(now.arity());
     if (ins != nullptr) {
       WSV_ASSIGN_OR_RETURN(
           plus,
@@ -213,15 +207,14 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
     }
     // (phi+ and not phi-) or (S and phi+ and phi-) or (S and not phi+ and
     // not phi-)  — conflicting insert+delete is a no-op (Definition 2.4).
-    const data::Relation& current = cfg.state.relation(s);
     data::Relation result = plus.Difference(minus);
-    result = result.Union(current.Intersection(plus.Intersection(minus)));
-    result = result.Union(current.Difference(plus.Union(minus)));
-    new_state.SetRelation(s, std::move(result));
+    result = result.Union(now.Intersection(plus.Intersection(minus)));
+    result = result.Union(now.Difference(plus.Union(minus)));
+    cfg.state.SetRelation(s, std::move(result));
   }
 
   // --- Actions. ---
-  data::Instance new_action(&peer.action_schema());
+  cfg.action.Clear();
   for (size_t a = 0; a < peer.action_schema().size(); ++a) {
     const std::string& name = peer.action_schema().relation(a).name;
     const spec::Rule* rule = peer.FindRule(spec::RuleKind::kAction, name);
@@ -229,13 +222,13 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
     WSV_ASSIGN_OR_RETURN(
         data::Relation result,
         evaluator_.EvaluateQuery(rule->body, rule->head_vars, structure));
-    new_action.SetRelation(a, std::move(result));
+    cfg.action.SetRelation(a, std::move(result));
   }
 
   // --- Sends. ---
   std::vector<std::vector<OutgoingMessage>> send_alternatives;
   send_alternatives.emplace_back();  // start with "messages so far" = none
-  std::vector<bool> new_errors(peer.out_queues().size(), false);
+  cfg.send_errors.assign(peer.out_queues().size(), false);
   for (size_t q = 0; q < peer.out_queues().size(); ++q) {
     const spec::QueueDecl& decl = peer.out_queues()[q];
     const spec::Rule* rule = peer.FindRule(spec::RuleKind::kSend, decl.name);
@@ -259,7 +252,7 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
         }
       } else if (options_.deterministic_flat_sends) {
         // Theorem 3.8 semantics: runtime error, no message.
-        new_errors[q] = true;
+        cfg.send_errors[q] = true;
       } else {
         // Nondeterministically pick one tuple (Definition 2.4).
         std::vector<std::vector<OutgoingMessage>> expanded;
@@ -287,70 +280,64 @@ Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
 
   // --- Previous-input window update (shift the lookback window with the
   // input this transition consumed). ---
-  data::Instance new_prev = cfg.prev;
   for (size_t i = 0; i < peer.input_schema().size(); ++i) {
     const std::string& iname = peer.input_schema().relation(i).name;
-    if (cfg.input.relation(i).empty()) continue;  // window unchanged
+    if (current.input.relation(i).empty()) continue;  // window unchanged
     for (int k = peer.lookback(); k >= 2; --k) {
-      new_prev.relation(spec::PrevInputName(iname, k)) =
-          new_prev.relation(spec::PrevInputName(iname, k - 1));
+      cfg.prev.relation(spec::PrevInputName(iname, k)) =
+          cfg.prev.relation(spec::PrevInputName(iname, k - 1));
     }
-    new_prev.relation(spec::PrevInputName(iname, 1)) = cfg.input.relation(i);
+    cfg.prev.relation(spec::PrevInputName(iname, 1)) =
+        current.input.relation(i);
   }
-
-  cfg.state = std::move(new_state);
   cfg.input.Clear();  // re-chosen per delivered successor below
-  cfg.prev = std::move(new_prev);
-  cfg.action = std::move(new_action);
-  cfg.send_errors = std::move(new_errors);
 
-  // --- Deliver messages with lossy/bounded branching. ---
+  // --- Deliver messages with lossy/bounded branching (the last send
+  // alternative takes `next` itself). ---
   std::vector<Snapshot> delivered;
-  for (auto& alt : send_alternatives) {
-    DeliverMessages(next, alt, 0, delivered);
+  for (size_t a = 0; a + 1 < send_alternatives.size(); ++a) {
+    DeliverMessages(next, send_alternatives[a], 0, delivered);
   }
+  DeliverMessages(std::move(next), send_alternatives.back(), 0, delivered);
 
-  // --- Choose the successor configuration's input (Definition 2.3). ---
-  std::vector<Snapshot> successors;
+  // --- Choose the successor configuration's input (Definition 2.3), in
+  // place: each delivered snapshot is the scratch its input choices are
+  // written into. ---
+  const StructureLayout& succ_layout =
+      RuleLayout(peer_index, /*include_input=*/false);
+  fo::SlotStructure succ_structure(&succ_layout.names(), &domain_);
+  std::vector<InputDigit> digits;
   for (Snapshot& d : delivered) {
-    WSV_ASSIGN_OR_RETURN(fo::MapStructure succ_structure,
-                         BuildRuleStructure(d, peer_index,
-                                            /*include_input=*/false));
-    WSV_ASSIGN_OR_RETURN(std::vector<data::Instance> choices,
-                         EnumerateInputChoices(peer, succ_structure));
-    for (data::Instance& input : choices) {
-      Snapshot with_input = d;
-      with_input.peers[peer_index].input = std::move(input);
-      successors.push_back(std::move(with_input));
-    }
+    succ_layout.Bind(databases_, d, &succ_structure);
+    digits.clear();
+    WSV_RETURN_IF_ERROR(AddInputDigits(peer_index, succ_structure, &digits));
+    ForEachInputChoice(digits, &d, sink);
   }
+  return Status::Ok();
+}
+
+Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
+    const Snapshot& snap, size_t peer_index) const {
+  std::vector<Snapshot> successors;
+  WSV_RETURN_IF_ERROR(ForEachPeerSuccessor(
+      snap, peer_index, [&](Snapshot& s) { successors.push_back(s); }));
   return successors;
 }
 
 Result<std::vector<Snapshot>> TransitionGenerator::InitialSnapshots() const {
   // States, previous inputs, actions and queues empty; each peer's input is
-  // any options-consistent choice at the empty configuration.
-  std::vector<Snapshot> initials{MakeInitialSnapshot(*comp_)};
+  // any options-consistent choice at the empty configuration, earlier peers
+  // being the more significant digits.
+  Snapshot scratch = MakeInitialSnapshot(*comp_);
+  std::vector<InputDigit> digits;
   for (size_t p = 0; p < comp_->peers().size(); ++p) {
-    const spec::Peer& peer = comp_->peers()[p];
-    if (peer.input_schema().size() == 0) continue;
-    WSV_ASSIGN_OR_RETURN(fo::MapStructure structure,
-                         BuildRuleStructure(initials.front(), p,
-                                            /*include_input=*/false));
-    WSV_ASSIGN_OR_RETURN(std::vector<data::Instance> choices,
-                         EnumerateInputChoices(peer, structure));
-    if (choices.size() <= 1) continue;  // only the empty input
-    std::vector<Snapshot> expanded;
-    expanded.reserve(initials.size() * choices.size());
-    for (const Snapshot& base : initials) {
-      for (const data::Instance& input : choices) {
-        Snapshot with_input = base;
-        with_input.peers[p].input = input;
-        expanded.push_back(std::move(with_input));
-      }
-    }
-    initials = std::move(expanded);
+    fo::SlotStructure structure =
+        RuleStructure(scratch, p, /*include_input=*/false);
+    WSV_RETURN_IF_ERROR(AddInputDigits(p, structure, &digits));
   }
+  std::vector<Snapshot> initials;
+  ForEachInputChoice(digits, &scratch,
+                     [&](Snapshot& s) { initials.push_back(s); });
   return initials;
 }
 
@@ -504,18 +491,23 @@ Result<std::vector<Snapshot>> TransitionGenerator::EnvSuccessors(
   return bases;
 }
 
-Result<std::vector<Snapshot>> TransitionGenerator::Successors(
-    const Snapshot& snap) const {
-  std::vector<Snapshot> all;
+Status TransitionGenerator::ForEachSuccessor(
+    const Snapshot& snap, const SuccessorSink& sink) const {
   for (size_t p = 0; p < comp_->peers().size(); ++p) {
-    WSV_ASSIGN_OR_RETURN(std::vector<Snapshot> succ,
-                         SuccessorsForPeer(snap, p));
-    for (Snapshot& s : succ) all.push_back(std::move(s));
+    WSV_RETURN_IF_ERROR(ForEachPeerSuccessor(snap, p, sink));
   }
   if (options_.allow_env_moves) {
     WSV_ASSIGN_OR_RETURN(std::vector<Snapshot> succ, EnvSuccessors(snap));
-    for (Snapshot& s : succ) all.push_back(std::move(s));
+    for (Snapshot& s : succ) sink(s);
   }
+  return Status::Ok();
+}
+
+Result<std::vector<Snapshot>> TransitionGenerator::Successors(
+    const Snapshot& snap) const {
+  std::vector<Snapshot> all;
+  WSV_RETURN_IF_ERROR(
+      ForEachSuccessor(snap, [&](Snapshot& s) { all.push_back(s); }));
   return all;
 }
 

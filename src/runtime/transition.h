@@ -1,6 +1,7 @@
 #ifndef WSVERIFY_RUNTIME_TRANSITION_H_
 #define WSVERIFY_RUNTIME_TRANSITION_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/interner.h"
@@ -10,6 +11,7 @@
 #include "fo/eval.h"
 #include "runtime/run_options.h"
 #include "runtime/snapshot.h"
+#include "runtime/snapshot_view.h"
 #include "spec/composition.h"
 
 namespace wsv::runtime {
@@ -45,23 +47,38 @@ class TransitionGenerator {
   /// requires each configuration to carry its input).
   Result<std::vector<Snapshot>> InitialSnapshots() const;
 
-  /// All successors across all movers (peers, plus the environment when
-  /// options().allow_env_moves).
+  /// Receives one successor at a time. The snapshot is the generator's
+  /// scratch: it is valid only during the call, and the generator rewrites
+  /// the moving peer's inputs in place before the next one. The sink may
+  /// change the other parts (normalize the snapshot in place) as long as
+  /// the change does not depend on those inputs.
+  using SuccessorSink = std::function<void(Snapshot&)>;
+
+  /// Streams every successor across all movers (peers, plus the
+  /// environment when options().allow_env_moves) into `sink`: peers in
+  /// index order, then the environment; per peer the send picks, then the
+  /// delivery branches, then the input choices, with the first input
+  /// relation as the most significant digit and every digit running "no
+  /// input" first, then the option tuples in order.
+  Status ForEachSuccessor(const Snapshot& snap,
+                          const SuccessorSink& sink) const;
+
+  /// ForEachSuccessor collected into a vector (simulation and tests).
   Result<std::vector<Snapshot>> Successors(const Snapshot& snap) const;
 
-  /// Successors where peer `peer_index` moves.
+  /// Successors where peer `peer_index` moves, collected.
   Result<std::vector<Snapshot>> SuccessorsForPeer(const Snapshot& snap,
                                                   size_t peer_index) const;
 
   /// Successors where the environment moves (open compositions only).
   Result<std::vector<Snapshot>> EnvSuccessors(const Snapshot& snap) const;
 
-  /// The evaluation structure a peer's rules see in `snap` (database, state,
-  /// queue-states, first messages of in-queues, previous inputs); inputs are
-  /// layered on top by the caller. Exposed for testing.
-  Result<fo::MapStructure> BuildRuleStructure(const Snapshot& snap,
-                                              size_t peer_index,
-                                              bool include_input) const;
+  /// The structure a peer's rules see in `snap` (database, state, previous
+  /// inputs, first messages and queue-states of in-queues, send errors;
+  /// current inputs only with `include_input`), borrowing from `snap`: it
+  /// must not outlive `snap` or the generator.
+  fo::SlotStructure RuleStructure(const Snapshot& snap, size_t peer_index,
+                                  bool include_input) const;
 
  private:
   struct PeerWiring {
@@ -81,11 +98,36 @@ class TransitionGenerator {
     data::Relation content;  // singleton for flat
   };
 
-  /// Enumerates the options-consistent input instances of `peer` at the
-  /// configuration whose rule structure (without inputs) is `base`
-  /// (Definition 2.3: at most one option tuple per input relation).
-  Result<std::vector<data::Instance>> EnumerateInputChoices(
-      const spec::Peer& peer, const fo::MapStructure& base) const;
+  const StructureLayout& RuleLayout(size_t peer_index,
+                                    bool include_input) const {
+    return rule_layouts_[2 * peer_index + (include_input ? 1 : 0)];
+  }
+
+  /// One input relation with a non-empty options set: a digit of the input
+  /// choice enumeration ("no input", then each option tuple).
+  struct InputDigit {
+    size_t peer;
+    size_t relation;
+    data::Relation options;
+    size_t position = 0;  // 0 = no input, i = options.tuples()[i - 1]
+  };
+
+  /// Evaluates the options rule of every input relation of `peer_index`
+  /// against `structure` (a rule structure without inputs) and appends one
+  /// digit per relation with a non-empty options set (Definition 2.3: at
+  /// most one option tuple per input relation).
+  Status AddInputDigits(size_t peer_index, const fo::StructureView& structure,
+                        std::vector<InputDigit>* digits) const;
+
+  /// Writes every combination of `digits` into the (all-empty) inputs of
+  /// `scratch` in place, first digit most significant, and hands each to
+  /// `sink`. Leaves the inputs empty again.
+  static void ForEachInputChoice(std::vector<InputDigit>& digits,
+                                 Snapshot* scratch, const SuccessorSink& sink);
+
+  /// Streams the successors where peer `peer_index` moves.
+  Status ForEachPeerSuccessor(const Snapshot& snap, size_t peer_index,
+                              const SuccessorSink& sink) const;
 
   /// Applies channel delivery (lossy branching, bounds) of `messages` to
   /// `base`, appending all resulting snapshots to `out`.
@@ -107,6 +149,8 @@ class TransitionGenerator {
   RunOptions options_;
   fo::Evaluator evaluator_;
   std::vector<PeerWiring> wiring_;
+  /// Per peer: the rule layout without, then with, current inputs.
+  std::vector<StructureLayout> rule_layouts_;
 };
 
 }  // namespace wsv::runtime

@@ -518,6 +518,59 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
   return false;
 }
 
+SnapshotNormalization NormalizationForLeaves(
+    const spec::Composition& comp, const std::vector<fo::FormulaPtr>& leaves) {
+  SnapshotNormalization normalization;
+  normalization.keep_mover = AnyPropositionMentionsPrefix(leaves, "move_");
+  normalization.keep_flags =
+      AnyPropositionMentionsPrefix(leaves, "received_") ||
+      AnyPropositionMentionsPrefix(leaves, "sent_");
+  // Action relations are pure outputs; previous-input relations matter only
+  // to rules that read them. Keep each exactly when some proposition (or,
+  // for prev, some rule) observes it.
+  std::set<std::string> leaf_relations;
+  for (const fo::FormulaPtr& leaf : leaves) {
+    auto rels = leaf->RelationNames();
+    leaf_relations.insert(rels.begin(), rels.end());
+  }
+  normalization.keep_actions = false;
+  for (const std::string& rel : leaf_relations) {
+    if (comp.Classify(rel) == fo::RelClass::kAction) {
+      normalization.keep_actions = true;
+      break;
+    }
+  }
+  normalization.keep_prev.resize(comp.peers().size());
+  for (size_t p = 0; p < comp.peers().size(); ++p) {
+    const spec::Peer& peer = comp.peers()[p];
+    std::set<std::string> rule_relations;
+    for (const spec::Rule& rule : peer.rules()) {
+      auto rels = rule.body->RelationNames();
+      rule_relations.insert(rels.begin(), rels.end());
+    }
+    const data::Schema& prev = peer.prev_input_schema();
+    std::vector<bool>& keep = normalization.keep_prev[p];
+    keep.resize(prev.size(), false);
+    for (size_t r = 0; r < prev.size(); ++r) {
+      const std::string& name = prev.relation(r).name;
+      keep[r] = rule_relations.count(name) > 0 ||
+                leaf_relations.count(peer.name() + "." + name) > 0 ||
+                (comp.peers().size() == 1 &&
+                 leaf_relations.count(name) > 0);
+    }
+    // The lookback window shifts prev_i into prev_{i+1}: keeping a deeper
+    // slot requires keeping every shallower slot of the same input. Slots
+    // are laid out consecutively per input (Peer::Validate).
+    size_t lookback = static_cast<size_t>(peer.lookback());
+    for (size_t base = 0; base + lookback <= keep.size(); base += lookback) {
+      for (size_t j = lookback; j-- > 1;) {
+        if (keep[base + j]) keep[base + j - 1] = true;
+      }
+    }
+  }
+  return normalization;
+}
+
 Result<bool> VerificationEngine::CheckDatabases(
     const SymbolicTask& task, const std::vector<data::Instance>& dbs,
     size_t db_index, EngineOutcome& outcome) {
@@ -538,56 +591,8 @@ Result<bool> VerificationEngine::CheckDatabases(
     return Status::Internal(
         "valuation space and snapshot structures use different domains");
   }
-  SnapshotNormalization normalization;
-  normalization.keep_mover =
-      AnyPropositionMentionsPrefix(task.leaves, "move_");
-  normalization.keep_flags =
-      AnyPropositionMentionsPrefix(task.leaves, "received_") ||
-      AnyPropositionMentionsPrefix(task.leaves, "sent_");
-  // Action relations are pure outputs; previous-input relations matter only
-  // to rules that read them. Keep each exactly when some proposition (or,
-  // for prev, some rule) observes it.
-  std::set<std::string> leaf_relations;
-  for (const fo::FormulaPtr& leaf : task.leaves) {
-    auto rels = leaf->RelationNames();
-    leaf_relations.insert(rels.begin(), rels.end());
-  }
-  normalization.keep_actions = false;
-  for (const std::string& rel : leaf_relations) {
-    if (comp_->Classify(rel) == fo::RelClass::kAction) {
-      normalization.keep_actions = true;
-      break;
-    }
-  }
-  normalization.keep_prev.resize(comp_->peers().size());
-  for (size_t p = 0; p < comp_->peers().size(); ++p) {
-    const spec::Peer& peer = comp_->peers()[p];
-    std::set<std::string> rule_relations;
-    for (const spec::Rule& rule : peer.rules()) {
-      auto rels = rule.body->RelationNames();
-      rule_relations.insert(rels.begin(), rels.end());
-    }
-    const data::Schema& prev = peer.prev_input_schema();
-    std::vector<bool>& keep = normalization.keep_prev[p];
-    keep.resize(prev.size(), false);
-    for (size_t r = 0; r < prev.size(); ++r) {
-      const std::string& name = prev.relation(r).name;
-      keep[r] = rule_relations.count(name) > 0 ||
-                leaf_relations.count(peer.name() + "." + name) > 0 ||
-                (comp_->peers().size() == 1 &&
-                 leaf_relations.count(name) > 0);
-    }
-    // The lookback window shifts prev_i into prev_{i+1}: keeping a deeper
-    // slot requires keeping every shallower slot of the same input. Slots
-    // are laid out consecutively per input (Peer::Validate).
-    size_t lookback = static_cast<size_t>(peer.lookback());
-    for (size_t base = 0; base + lookback <= keep.size(); base += lookback) {
-      for (size_t j = lookback; j-- > 1;) {
-        if (keep[base + j]) keep[base + j - 1] = true;
-      }
-    }
-  }
-  SnapshotGraph graph(&generator, std::move(normalization));
+  SnapshotGraph graph(&generator,
+                      NormalizationForLeaves(*comp_, task.leaves));
   LeafCache cache(&graph, task.leaves, interner_);
   struct GraphStatsGuard {
     SnapshotGraph& graph;

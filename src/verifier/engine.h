@@ -94,6 +94,13 @@ struct SymbolicTask {
 using NamedDatabase =
     std::map<std::string, std::vector<std::vector<std::string>>>;
 
+/// The snapshot normalization of a property whose propositions are
+/// `leaves`: the mover, event flags, actions and previous inputs are kept
+/// exactly when some proposition (or, for previous inputs, some rule)
+/// observes them.
+SnapshotNormalization NormalizationForLeaves(
+    const spec::Composition& comp, const std::vector<fo::FormulaPtr>& leaves);
+
 /// Materializes one NamedDatabase per peer into instances over `interner`,
 /// interning unseen spellings and adding them to `domain`.
 Result<std::vector<data::Instance>> MaterializeDatabases(

@@ -94,11 +94,10 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Successors(
     // arena-stable, so unlike the old object store no defensive copy is
     // needed before Intern below grows the graph.
     codec_.Decode(flats_[sid], &decode_scratch_);
-    WSV_ASSIGN_OR_RETURN(std::vector<runtime::Snapshot> succ,
-                         generator_->Successors(decode_scratch_));
     std::vector<SnapshotId> ids;
-    ids.reserve(succ.size());
-    for (runtime::Snapshot& s : succ) ids.push_back(Intern(s));
+    WSV_RETURN_IF_ERROR(generator_->ForEachSuccessor(
+        decode_scratch_,
+        [&](runtime::Snapshot& s) { ids.push_back(Intern(s)); }));
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     transitions_ += ids.size();
@@ -153,26 +152,38 @@ Result<bool> SnapshotGraph::ExploreAllSerial(size_t max_snapshots,
 
 namespace {
 
-/// One frontier node's expansion, computed concurrently: its successors'
-/// canonical encodings (spans into the expanding lane's scratch arena) with
-/// their hashes, or the generator's error. The Snapshot objects themselves
-/// are dropped inside the compute phase — only the flat spans survive to
-/// the merge.
+/// A successor's canonical encoding (a span into the expanding lane's
+/// scratch arena) with its hash, and the id the resolve pass found for it
+/// (FlatIdSet::kEmpty if the span was not yet interned).
+struct Candidate {
+  const uint32_t* data;
+  uint32_t size;
+  SnapshotId resolved;
+  size_t hash;
+};
+
+/// One frontier node's expansion, computed concurrently: its successors are
+/// candidates [begin, end) of lane `lane`, or the generator's error.
+/// Successors stream through the generator's scratch snapshot — only the
+/// flat spans survive to the merge.
 struct NodeExpansion {
   Status status = Status::Ok();
-  std::vector<runtime::FlatSnapshot> flat;
-  std::vector<size_t> hash;
+  size_t lane = 0;
+  size_t begin = 0;
+  size_t end = 0;
 };
 
 /// Per-lane scratch reused across every frontier node the lane expands (and
 /// across BFS levels): the decoded frontier snapshot, the encode buffer,
-/// and the arena holding this level's candidate spans. Resetting the arena
-/// per level recycles its chunks, so steady-state expansion allocates
-/// nothing for the ~16x of candidates that end up duplicates.
+/// and this level's candidates with the arena holding their spans.
+/// Resetting the arena and the candidate list per level recycles their
+/// storage, so steady-state expansion allocates nothing for the ~16x of
+/// candidates that end up duplicates.
 struct LaneScratch {
   runtime::Snapshot snap;
   std::vector<uint32_t> encode;
   Arena arena;
+  std::vector<Candidate> candidates;
 };
 
 }  // namespace
@@ -196,7 +207,10 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
     std::atomic<bool> stop_requested{false};
     obs::TimedMutex stop_mu{"graph.stop"};
     Status stop_status = Status::Ok();
-    for (LaneScratch& s : scratch) s.arena.Reset();
+    for (LaneScratch& s : scratch) {
+      s.arena.Reset();
+      s.candidates.clear();
+    }
     const size_t per_chunk =
         std::max<size_t>(1, std::min<size_t>(64, n / (lanes * 4) + 1));
     const size_t num_chunks = (n + per_chunk - 1) / per_chunk;
@@ -219,23 +233,19 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
             }
             NodeExpansion& out = expansions[p];
             codec_.Decode(flats_[frontier[p]], &lane_scratch.snap);
-            auto succ = generator_->Successors(lane_scratch.snap);
-            if (!succ.ok()) {
-              out.status = succ.status();
-              continue;
-            }
-            out.flat.reserve(succ.value().size());
-            out.hash.reserve(succ.value().size());
-            for (runtime::Snapshot& s : succ.value()) {
-              Normalize(&s);
-              codec_.Encode(s, &lane_scratch.encode);
-              const uint32_t* span = lane_scratch.arena.CopyWords(
-                  lane_scratch.encode.data(), lane_scratch.encode.size());
-              out.flat.push_back(runtime::FlatSnapshot{
-                  span, static_cast<uint32_t>(lane_scratch.encode.size())});
-              out.hash.push_back(runtime::HashFlatSnapshot(
-                  lane_scratch.encode.data(), lane_scratch.encode.size()));
-            }
+            out.lane = lane;
+            out.begin = lane_scratch.candidates.size();
+            out.status = generator_->ForEachSuccessor(
+                lane_scratch.snap, [&](runtime::Snapshot& s) {
+                  Normalize(&s);
+                  std::vector<uint32_t>& words = lane_scratch.encode;
+                  codec_.Encode(s, &words);
+                  lane_scratch.candidates.push_back(Candidate{
+                      lane_scratch.arena.CopyWords(words.data(), words.size()),
+                      static_cast<uint32_t>(words.size()), FlatIdSet::kEmpty,
+                      runtime::HashFlatSnapshot(words.data(), words.size())});
+                });
+            out.end = lane_scratch.candidates.size();
           }
         });
     if (!stop_status.ok()) return stop_status;
@@ -244,32 +254,34 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
     // set as it stood before this level. Hits are final (existing ids never
     // change); misses are re-probed during the merge, which is the only
     // place the table grows.
-    size_t total = 0;
-    for (const NodeExpansion& exp : expansions) total += exp.flat.size();
-    struct Candidate {
-      runtime::FlatSnapshot flat;
-      size_t hash;
+    // Candidates are probed where the lanes left them, in slices of up to
+    // 1024; the merge below reads them back in frontier order.
+    struct Slice {
+      std::vector<Candidate>* candidates;
+      size_t begin;
+      size_t end;
     };
-    std::vector<Candidate> candidates;
-    candidates.reserve(total);
-    for (NodeExpansion& exp : expansions) {
-      for (size_t j = 0; j < exp.flat.size(); ++j) {
-        candidates.push_back(Candidate{exp.flat[j], exp.hash[j]});
+    std::vector<Slice> slices;
+    const size_t resolve_chunk = 1024;
+    size_t total = 0;
+    for (LaneScratch& s : scratch) {
+      const size_t size = s.candidates.size();
+      for (size_t begin = 0; begin < size; begin += resolve_chunk) {
+        slices.push_back(
+            Slice{&s.candidates, begin, std::min(size, begin + resolve_chunk)});
       }
+      total += size;
     }
     static obs::Counter& encodes =
         obs::Registry::Global().counter("graph.encode");
     encodes.Add(total);
-    std::vector<SnapshotId> resolved(total, FlatIdSet::kEmpty);
-    const size_t resolve_chunk = 1024;
-    const size_t resolve_chunks = (total + resolve_chunk - 1) / resolve_chunk;
     ThreadPool::ParallelChunks(
-        pool, lanes - 1, resolve_chunks, [&](size_t, size_t chunk) {
-          const size_t begin = chunk * resolve_chunk;
-          const size_t end = std::min(total, begin + resolve_chunk);
-          for (size_t g = begin; g < end; ++g) {
-            resolved[g] = intern_.Find(candidates[g].hash, [&](uint32_t id) {
-              return flats_[id] == candidates[g].flat;
+        pool, lanes - 1, slices.size(), [&](size_t, size_t chunk) {
+          const Slice& slice = slices[chunk];
+          for (size_t j = slice.begin; j < slice.end; ++j) {
+            Candidate& c = (*slice.candidates)[j];
+            c.resolved = intern_.Find(c.hash, [&](uint32_t id) {
+              return flats_[id] == runtime::FlatSnapshot{c.data, c.size};
             });
           }
         });
@@ -288,18 +300,19 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
         registry.histogram("graph.successors_per_snapshot");
     std::vector<SnapshotId> next_frontier;
     const size_t before_level = flats_.size();
-    for (size_t p = 0, g = 0; p < n; ++p) {
-      NodeExpansion& exp = expansions[p];
+    for (size_t p = 0; p < n; ++p) {
+      const NodeExpansion& exp = expansions[p];
       WSV_RETURN_IF_ERROR(exp.status);
+      const std::vector<Candidate>& candidates = scratch[exp.lane].candidates;
       std::vector<SnapshotId> ids;
-      ids.reserve(exp.flat.size());
-      for (size_t j = 0; j < exp.flat.size(); ++j, ++g) {
-        SnapshotId id = resolved[g];
+      ids.reserve(exp.end - exp.begin);
+      for (size_t j = exp.begin; j < exp.end; ++j) {
+        const Candidate& c = candidates[j];
+        SnapshotId id = c.resolved;
         if (id != FlatIdSet::kEmpty) {
           intern_hits.Add(1);
         } else {
-          id = InternSpan(candidates[g].flat.data, candidates[g].flat.size,
-                          candidates[g].hash);
+          id = InternSpan(c.data, c.size, c.hash);
         }
         ids.push_back(id);
       }
@@ -325,15 +338,13 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
   return true;
 }
 
-fo::MapStructure SnapshotGraph::Structure(SnapshotId sid) const {
-  return runtime::BuildPropertyStructure(generator_->composition(),
-                                         generator_->databases(), codec_,
-                                         flats_[sid], generator_->domain());
-}
-
 LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
                      const Interner* interner)
-    : graph_(graph), leaves_(std::move(leaves)), evaluator_(interner) {
+    : graph_(graph),
+      leaves_(std::move(leaves)),
+      evaluator_(interner),
+      layout_(runtime::PropertyStructureLayout(
+          graph->generator().composition())) {
   leaf_vars_.reserve(leaves_.size());
   for (const fo::FormulaPtr& leaf : leaves_) {
     auto frees = leaf->FreeVariables();
@@ -341,7 +352,11 @@ LeafCache::LeafCache(SnapshotGraph* graph, std::vector<fo::FormulaPtr> leaves,
   }
 }
 
-Status LeafCache::EvaluateSnapshot(SnapshotId sid) {
+LeafCache::LaneScratch::LaneScratch(const runtime::StructureLayout& layout,
+                                    const data::Domain& domain)
+    : structure(&layout.names(), &domain) {}
+
+Status LeafCache::EvaluateSnapshot(SnapshotId sid, LaneScratch& scratch) {
   misses_.fetch_add(1, std::memory_order_relaxed);
   obs::Registry& registry = obs::Registry::Global();
   static obs::Counter& misses = registry.counter("leafcache.misses");
@@ -349,12 +364,14 @@ Status LeafCache::EvaluateSnapshot(SnapshotId sid) {
   misses.Add(1);
   evals.Add(leaves_.size());
   obs::PhaseTimer phase("leaf_eval");
-  // Evaluate every leaf in one pass so the (relation-copying) snapshot
-  // structure is built once and immediately discarded.
-  fo::MapStructure structure = graph_->Structure(sid);
+  // Evaluate every leaf in one pass over one decode of the snapshot; the
+  // structure only borrows the decoded relations.
+  graph_->codec().Decode(graph_->flat(sid), &scratch.snap);
+  const runtime::TransitionGenerator& generator = graph_->generator();
+  layout_.Bind(generator.databases(), scratch.snap, &scratch.structure);
   cache_[sid].reserve(leaves_.size());
   for (const fo::FormulaPtr& formula : leaves_) {
-    auto result = evaluator_.Evaluate(formula, structure);
+    auto result = evaluator_.Evaluate(formula, scratch.structure);
     if (!result.ok()) return result.status();
     cache_[sid].emplace_back(std::move(result).value());
   }
@@ -364,7 +381,7 @@ Status LeafCache::EvaluateSnapshot(SnapshotId sid) {
 Result<const fo::ValuationSet*> LeafCache::Get(SnapshotId sid, size_t leaf) {
   if (sid >= cache_.size()) cache_.resize(sid + 1);
   if (cache_[sid].empty() && !leaves_.empty()) {
-    WSV_RETURN_IF_ERROR(EvaluateSnapshot(sid));
+    WSV_RETURN_IF_ERROR(EvaluateSnapshot(sid, Scratch(0)));
   } else {
     hits_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& hits =
@@ -378,7 +395,7 @@ Result<const std::vector<std::optional<fo::ValuationSet>>*> LeafCache::GetAll(
     SnapshotId sid) {
   if (sid >= cache_.size()) cache_.resize(sid + 1);
   if (cache_[sid].empty() && !leaves_.empty()) {
-    WSV_RETURN_IF_ERROR(EvaluateSnapshot(sid));
+    WSV_RETURN_IF_ERROR(EvaluateSnapshot(sid, Scratch(0)));
   } else {
     hits_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& hits =
@@ -394,17 +411,19 @@ Status LeafCache::SealAndPopulate(ThreadPool* pool, size_t lanes) {
   if (cache_.size() < n) cache_.resize(n);
   const size_t per_chunk = 16;
   const size_t num_chunks = (n + per_chunk - 1) / per_chunk;
+  const size_t helpers = lanes > 0 ? lanes - 1 : 0;
+  Scratch(helpers);  // every lane's scratch exists before the fan-out
   obs::TimedMutex error_mu{"leafcache.seal"};
   SnapshotId error_sid = 0;
   Status error = Status::Ok();
   ThreadPool::ParallelChunks(
-      pool, lanes > 0 ? lanes - 1 : 0, num_chunks,
-      [&](size_t, size_t chunk) {
+      pool, helpers, num_chunks, [&](size_t lane, size_t chunk) {
         const size_t begin = chunk * per_chunk;
         const size_t end = std::min(n, begin + per_chunk);
         for (size_t sid = begin; sid < end; ++sid) {
           if (!cache_[sid].empty()) continue;  // already evaluated lazily
-          Status status = EvaluateSnapshot(static_cast<SnapshotId>(sid));
+          Status status =
+              EvaluateSnapshot(static_cast<SnapshotId>(sid), scratch_[lane]);
           if (!status.ok()) {
             std::lock_guard<obs::TimedMutex> lock(error_mu);
             if (error.ok() || sid < error_sid) {
@@ -416,6 +435,13 @@ Status LeafCache::SealAndPopulate(ThreadPool* pool, size_t lanes) {
         }
       });
   return error;
+}
+
+LeafCache::LaneScratch& LeafCache::Scratch(size_t lane) {
+  while (scratch_.size() <= lane) {
+    scratch_.emplace_back(layout_, graph_->generator().domain());
+  }
+  return scratch_[lane];
 }
 
 Result<std::vector<const fo::ValuationSet*>> LeafCache::AllSnapshots(

@@ -14,6 +14,7 @@
 #include "fo/eval.h"
 #include "fo/structure.h"
 #include "runtime/flat_snapshot.h"
+#include "runtime/snapshot_view.h"
 #include "runtime/transition.h"
 
 namespace wsv::verifier {
@@ -84,12 +85,6 @@ class SnapshotGraph {
   runtime::Snapshot snapshot(SnapshotId sid) const {
     return codec_.Decode(flats_[sid]);
   }
-
-  /// Builds the property-evaluation structure of a snapshot (transient —
-  /// structures copy every relation, so they are never cached; LeafCache
-  /// evaluates all leaves in one pass per snapshot instead). Thread-safe:
-  /// decodes into a local scratch snapshot.
-  fo::MapStructure Structure(SnapshotId sid) const;
 
   size_t size() const { return flats_.size(); }
   size_t transitions_computed() const { return transitions_; }
@@ -210,9 +205,22 @@ class LeafCache {
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
-  /// Evaluates all leaves of one snapshot into cache_[sid] (the miss path).
-  /// cache_ must already span sid.
-  Status EvaluateSnapshot(SnapshotId sid);
+  /// One evaluation lane's reusable state: the decoded snapshot and the
+  /// property structure borrowing from it.
+  struct LaneScratch {
+    LaneScratch(const runtime::StructureLayout& layout,
+                const data::Domain& domain);
+    runtime::Snapshot snap;
+    fo::SlotStructure structure;
+  };
+
+  /// Lane `lane`'s scratch, created (with every lower lane's) on first use.
+  /// Not thread-safe: call before fanning out over the lanes.
+  LaneScratch& Scratch(size_t lane);
+
+  /// Evaluates all leaves of one snapshot into cache_[sid] (the miss path),
+  /// decoding into `scratch`. cache_ must already span sid.
+  Status EvaluateSnapshot(SnapshotId sid, LaneScratch& scratch);
 
   /// Leaf `leaf`'s set at every snapshot, in snapshot order.
   Result<std::vector<const fo::ValuationSet*>> AllSnapshots(size_t leaf);
@@ -221,6 +229,11 @@ class LeafCache {
   std::vector<fo::FormulaPtr> leaves_;
   std::vector<std::vector<std::string>> leaf_vars_;
   fo::Evaluator evaluator_;
+  /// The property structure's name table for the graph's composition.
+  runtime::StructureLayout layout_;
+  /// Per-lane scratch (lane 0 also serves the lazy Get/GetAll path); owned
+  /// by this cache, so it never outlives the composition it decodes.
+  std::vector<LaneScratch> scratch_;
   /// cache_[sid][leaf]
   std::vector<std::vector<std::optional<fo::ValuationSet>>> cache_;
   std::vector<std::optional<fo::ValuationSet>> ever_;

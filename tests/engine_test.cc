@@ -198,14 +198,15 @@ TEST_P(SimulatorOracleTest, VerifiedInvariantsHoldAlongRandomRuns) {
   dbs[0].relation("item").Insert({interner.Intern("a")});
   dbs[0].relation("item").Insert({interner.Intern("b")});
   fo::Evaluator evaluator(&interner);
+  runtime::StructureLayout layout = runtime::PropertyStructureLayout(*comp);
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     runtime::Simulator sim(&*comp, dbs, &interner, runtime::RunOptions{},
                            seed);
     auto trace = sim.Run(60);
     ASSERT_TRUE(trace.ok());
     for (const runtime::Snapshot& snap : *trace) {
-      fo::MapStructure view = runtime::BuildPropertyStructure(
-          *comp, dbs, snap, sim.generator().domain());
+      fo::SlotStructure view(&layout.names(), &sim.generator().domain());
+      layout.Bind(dbs, snap, &view);
       auto value =
           evaluator.EvaluateSentence(leaf->formula()->leaf(), view);
       ASSERT_TRUE(value.ok()) << value.status();

@@ -14,7 +14,7 @@
 #include "fo/eval.h"
 #include "fo/formula.h"
 #include "fo/logic.h"
-#include "fo/structure.h"
+#include "map_structure.h"
 
 namespace wsv::fo {
 namespace {

@@ -6,7 +6,7 @@
 #include "fo/formula.h"
 #include "fo/input_bounded.h"
 #include "fo/parser.h"
-#include "fo/structure.h"
+#include "map_structure.h"
 #include "obs/metrics.h"
 
 namespace wsv::fo {

@@ -362,8 +362,9 @@ TEST(SnapshotView, ExposesQueueViewsAndRunPropositions) {
   s.mover = 0;
   s.received[0] = true;
 
-  fo::MapStructure view = BuildPropertyStructure(
-      *h.comp, h.dbs, s, h.generator->domain());
+  StructureLayout layout = PropertyStructureLayout(*h.comp);
+  fo::SlotStructure view(&layout.names(), &h.generator->domain());
+  layout.Bind(h.dbs, s, &view);
   // Receiver sees the first message, sender view shows the last.
   EXPECT_TRUE(view.Find("R.q")->Contains({h.V("a")}));
   EXPECT_TRUE(view.Find("S.q")->Contains({b}));
