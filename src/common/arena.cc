@@ -27,7 +27,7 @@ void Arena::Grow(size_t min_words) {
   size_t words = std::max(min_words, chunk_bytes_ / sizeof(uint32_t));
   Chunk chunk;
   try {
-    chunk = Chunk{std::make_unique<uint32_t[]>(words), words};
+    chunk = Chunk{std::make_unique_for_overwrite<uint32_t[]>(words), words};
   } catch (const std::bad_alloc&) {
     throw fault::MemoryBudgetError(
         "arena chunk allocation of " +

@@ -12,7 +12,6 @@
 #include "automata/emptiness.h"
 #include "common/thread_pool.h"
 #include "fo/bdd.h"
-#include "fo/logic.h"
 #include "obs/lock_profile.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -20,6 +19,7 @@
 #include "runtime/transition.h"
 #include "verifier/checkpoint.h"
 #include "verifier/db_enum.h"
+#include "verifier/first_witness.h"
 #include "verifier/parallel_sweep.h"
 
 namespace wsv::verifier {
@@ -101,6 +101,11 @@ ValuationSpace::ValuationSpace(const data::Domain& domain,
   }
 }
 
+int ValuationSpace::DigitOf(data::Value v) const {
+  auto it = std::find(values_.begin(), values_.end(), v);
+  return it == values_.end() ? -1 : static_cast<int>(it - values_.begin());
+}
+
 void ValuationSpace::DecodeValues(size_t index,
                                   std::vector<data::Value>* out) const {
   out->clear();
@@ -114,22 +119,14 @@ void ValuationSpace::DecodeValues(size_t index,
   }
 }
 
-void ValuationSpace::DecodeSpellings(size_t index,
-                                     std::vector<std::string>* out) const {
-  // resize() keeps the element strings alive, so a scratch buffer reused
-  // across the fan-out loop assigns into existing capacity instead of
-  // allocating num_vars fresh strings per call.
-  out->resize(num_vars_);
-  const size_t radix = spellings_.size();
-  for (size_t i = 0; i < num_vars_; ++i) {
-    (*out)[i] = spellings_[index % radix];
-    index /= radix;
-  }
-}
-
 std::vector<std::string> ValuationSpace::DecodeSpellings(size_t index) const {
   std::vector<std::string> out;
-  DecodeSpellings(index, &out);
+  out.reserve(num_vars_);
+  const size_t radix = spellings_.size();
+  for (size_t i = 0; i < num_vars_; ++i) {
+    out.push_back(spellings_[index % radix]);
+    index /= radix;
+  }
   return out;
 }
 
@@ -258,10 +255,10 @@ class PrefilterMemo {
   std::array<Shard, kShards> shards_;
 };
 
-/// Per-lane accumulators and scratch buffers of the valuation fan-out. A
-/// lane is touched by exactly one thread at a time (lane 0 = the
-/// dispatching caller, others = pool drainers), so nothing here is locked;
-/// lanes are merged in index order when the fan-out completes.
+/// Per-lane accumulators and scratch buffers of the valuation stage. A lane
+/// is touched by exactly one thread at a time (lane 0 = the dispatching
+/// caller, others = pool drainers), so nothing here is locked; lanes are
+/// merged in index order when the stage completes.
 struct VerificationEngine::ValuationLane {
   struct Candidate {
     size_t index;
@@ -273,10 +270,8 @@ struct VerificationEngine::ValuationLane {
   size_t memo_misses = 0;
   size_t memo_hits = 0;
   SearchStats stats;
-  /// (valuation index, status) of searches cut by the state budget,
-  /// replayed in serial order at merge time (mirrors ParallelSweep).
-  std::vector<std::pair<size_t, Status>> budget_events;
-  /// Lowest-index witness this lane found.
+  /// The witness this lane found: at most one, since the fence it lowers
+  /// admits none of the lane's later (higher) items.
   std::optional<Candidate> candidate;
 
   // Scratch reused across valuations: the decoded assignment, the rigid
@@ -340,7 +335,6 @@ Result<std::vector<ValuationClass>> PartitionValuationClasses(
     size_t v_hi) {
   obs::PhaseTimer phase("symbolic_partition");
   fo::bdd::Manager mgr(space.num_vars(), space.values().size());
-  fo::BddLogic logic{&mgr, &space.values()};
 
   std::vector<fo::bdd::NodeRef> classes{mgr.Interval(v_lo, v_hi)};
   if (classes[0] == fo::bdd::kFalse) classes.clear();
@@ -366,7 +360,7 @@ Result<std::vector<ValuationClass>> PartitionValuationClasses(
       digits.clear();
       bool reachable = true;
       for (size_t k = 0; k < slots.size() && reachable; ++k) {
-        int d = logic.DigitOf(row[k]);
+        int d = space.DigitOf(row[k]);
         reachable = d >= 0;
         if (reachable) digits.push_back(static_cast<uint32_t>(d));
       }
@@ -501,18 +495,9 @@ Result<bool> VerificationEngine::CheckOneValuation(const ValuationContext& ctx,
     obs::PhaseTimer ndfs_phase("ndfs");
     return search.FindAcceptedRun(&lane.stats);
   }();
-  if (!witness.ok()) {
-    if (witness.status().code() == StatusCode::kBudgetExceeded) {
-      lane.budget_events.emplace_back(index, witness.status());
-      return false;
-    }
-    return witness.status();
-  }
+  if (!witness.ok()) return witness.status();
   if (witness.value().has_value()) {
-    if (!lane.candidate.has_value() || index < lane.candidate->index) {
-      lane.candidate =
-          ValuationLane::Candidate{index, std::move(**witness)};
-    }
+    lane.candidate = ValuationLane::Candidate{index, std::move(**witness)};
     return true;
   }
   return false;
@@ -572,8 +557,9 @@ SnapshotNormalization NormalizationForLeaves(
 }
 
 Result<bool> VerificationEngine::CheckDatabases(
-    const SymbolicTask& task, const std::vector<data::Instance>& dbs,
-    size_t db_index, EngineOutcome& outcome) {
+    const SymbolicTask& task, size_t v_lo, size_t v_hi,
+    const std::vector<data::Instance>& dbs, size_t db_index,
+    EngineOutcome& outcome) {
   // One trace span per database sweep iteration; args built only when the
   // recorder is on so the common path stays allocation-free.
   obs::PhaseTimer db_span(
@@ -678,338 +664,126 @@ Result<bool> VerificationEngine::CheckDatabases(
                              &prefilter_memo, &rigid, init_sid,
                              &ever_sat, &always_sat, &leaf_positions};
   const size_t total = task.valuations.size();
-  // Valuation shard bounds; the full space on database sweeps (Run()
-  // rejects a valuation range there). Indices stay absolute, so a shard's
-  // witness valuation index matches the unsharded run's.
-  const size_t v_lo = std::min(options_.valuation_range_lo, total);
-  const size_t v_hi = std::min(options_.valuation_range_hi, total);
 
-  auto add_search_stats = [](const SearchStats& from, SearchStats& into) {
-    into.snapshots += from.snapshots;
-    into.product_states += from.product_states;
-    into.transitions += from.transitions;
-    into.graph_transitions += from.graph_transitions;
-    into.leaf_cache_hits += from.leaf_cache_hits;
-    into.leaf_cache_misses += from.leaf_cache_misses;
-    into.inner_searches += from.inner_searches;
-    into.budget_hits += from.budget_hits;
-  };
-  auto merge_lane = [&](const ValuationLane& lane) {
+  // The ordered work list: the slice's indices with weight 1, or in
+  // symbolic mode its leaf-signature classes — valuations the product
+  // search cannot distinguish, checked once on the class's least index and
+  // weighted by the class size. Ascending representatives are serial
+  // valuation order, so both lists resolve to the same witness, label,
+  // lasso, coverage and stop status. Classes need a complete graph (the
+  // partition reads the sealed leaf cache) and an unsaturated index space;
+  // kAuto also demands that they collapse the slice.
+  std::vector<ValuationClass> classes;
+  bool symbolic = false;
+  if (options_.valuation_mode != ValuationMode::kConcrete && complete_graph &&
+      task.valuations.num_vars() > 0 && total != static_cast<size_t>(-1) &&
+      v_hi > v_lo) {
+    WSV_ASSIGN_OR_RETURN(
+        classes, PartitionValuationClasses(&graph, &cache, task.valuations,
+                                           leaf_positions, v_lo, v_hi));
+    symbolic = options_.valuation_mode == ValuationMode::kSymbolic ||
+               classes.size() * 2 <= v_hi - v_lo;
+  }
+  const size_t work = symbolic ? classes.size() : v_hi - v_lo;
+
+  // Serial is the one-lane case: without a pool, on a partial graph
+  // (searches grow it on the fly) or with at most one item. Chunks are
+  // claimed in increasing index order and the dispatch fence stops below
+  // the best witness, so every item before the winner is fully checked and
+  // the reported witness is bit-for-bit the serial one.
+  const size_t lanes = pool_ != nullptr && complete_graph && work > 1
+                           ? lanes_
+                           : 1;
+  std::optional<obs::PhaseTimer> fanout_phase;
+  if (lanes > 1) fanout_phase.emplace("valuation_fanout");
+  std::vector<ValuationLane> lane_state(lanes);
+  FirstWitnessDispatch dispatch(lanes,
+                                lanes > 1 ? "engine.fanout_stop" : nullptr);
+  // The space may hold up to SIZE_MAX items. The chunk count is capped, so
+  // lanes drain the chunks past a witness quickly, and neither it nor a
+  // chunk's end may round up past SIZE_MAX.
+  constexpr size_t kMaxChunks = size_t{1} << 16;
+  const size_t per_chunk =
+      lanes > 1 ? std::max(std::min<size_t>(256, work / (lanes * 8) + 1),
+                           work / kMaxChunks + 1)
+                : std::max<size_t>(work, 1);
+  const size_t num_chunks = work == 0 ? 0 : 1 + (work - 1) / per_chunk;
+  obs::Registry& registry = obs::Registry::Global();
+  static obs::Counter& chunk_counter =
+      registry.counter("engine.valuation_chunks");
+  // Counted per class *checked* (not per class partitioned) so that a
+  // violation that stops the sweep early keeps the schema invariant
+  // valuation_classes <= valuations_checked.
+  static obs::Counter& class_counter =
+      registry.counter("engine.valuation_classes");
+  ThreadPool::ParallelChunks(
+      pool_, lanes - 1, num_chunks, [&](size_t lane_id, size_t chunk) {
+        ValuationLane& lane = lane_state[lane_id];
+        if (lanes > 1) chunk_counter.Add(1);
+        const size_t begin = chunk * per_chunk;
+        const size_t end = begin + std::min(per_chunk, work - begin);
+        for (size_t pos = begin; pos < end; ++pos) {
+          const ValuationClass item =
+              symbolic ? classes[pos] : ValuationClass{v_lo + pos, 1};
+          if (!dispatch.Admits(item.min_index)) break;
+          if (symbolic) class_counter.Add(1);
+          Result<bool> one =
+              CheckOneValuation(ctx, item.min_index, lane, item.size);
+          if (one.ok() && !*one) continue;
+          if (one.ok()) {
+            dispatch.Witness(item.min_index);
+            break;
+          }
+          if (one.status().code() == StatusCode::kBudgetExceeded) {
+            dispatch.Budget(lane_id, item.min_index, one.status());
+            continue;
+          }
+          dispatch.Fail(item.min_index, one.status());
+          break;
+        }
+      });
+
+  std::optional<obs::PhaseTimer> merge_phase;
+  if (lanes > 1) merge_phase.emplace("merge");
+  for (const ValuationLane& lane : lane_state) {
     outcome.searches += lane.searches;
     outcome.prefiltered += lane.prefiltered;
     outcome.prefilter_memo_misses += lane.memo_misses;
     outcome.prefilter_memo_hits += lane.memo_hits;
-    add_search_stats(lane.stats, outcome.search_stats);
-  };
-  // Replays budget events the way the serial loop would have: it overwrites
-  // its stop status per event in index order, so the survivor is the
-  // highest-index event at or below the cutoff (events past a witness come
-  // from instances a serial run never reaches).
-  auto replay_budget_events = [&](const std::vector<ValuationLane>& lanes,
-                                  size_t cutoff) {
-    const std::pair<size_t, Status>* last = nullptr;
-    for (const ValuationLane& lane : lanes) {
-      for (const auto& event : lane.budget_events) {
-        if (event.first > cutoff) continue;
-        if (last == nullptr || event.first > last->first) last = &event;
-      }
-    }
-    if (last != nullptr) outcome.stop_status = last->second;
-  };
-
-  // A shard cut short by its upper bound reports range-end — unless a
-  // bounded search inside the range already set a budget status, which must
-  // survive (range-end would let a merge attest full coverage of a range
-  // whose valuations were only partially searched).
-  auto apply_range_end = [&] {
+    outcome.search_stats += lane.stats;
+  }
+  WSV_ASSIGN_OR_RETURN(const FirstWitnessDispatch::Verdict verdict,
+                       dispatch.Resolve());
+  if (verdict.stop.has_value() && !verdict.found()) return *verdict.stop;
+  if (verdict.stop.has_value()) {
+    outcome.stop_status = *verdict.stop;
+  } else if (verdict.budget.has_value()) {
+    outcome.stop_status = *verdict.budget;
+  }
+  if (!verdict.found()) {
+    // A shard cut short by its upper bound reports range-end — unless a
+    // bounded search already set a budget status, which must survive
+    // (range-end would let a merge attest full coverage of a range whose
+    // valuations were only partially searched).
     if (v_hi < total && outcome.stop_status.ok()) {
       outcome.stop_status = Status::RangeEnd(
           "valuation sweep stopped at the end of the assigned range; the "
           "verdict covers exactly this shard's valuations");
     }
-  };
-
-  // Symbolic (leaf-signature) fan-out: partition the slice into classes of
-  // valuations the product search cannot distinguish and check one
-  // representative — the class's least index — per class, weighted by the
-  // class size. Needs a complete graph (the partition reads the sealed
-  // leaf cache) and an unsaturated index space; kAuto additionally demands
-  // that the classes actually collapse the span. Verdict, witness index,
-  // label, lasso, coverage and budget/stop semantics are identical to the
-  // concrete loop below.
-  if (options_.valuation_mode != ValuationMode::kConcrete && complete_graph &&
-      task.valuations.num_vars() > 0 && total != static_cast<size_t>(-1) &&
-      v_hi > v_lo) {
-    WSV_ASSIGN_OR_RETURN(
-        std::vector<ValuationClass> classes,
-        PartitionValuationClasses(&graph, &cache, task.valuations,
-                                  leaf_positions, v_lo, v_hi));
-    const bool collapse_pays =
-        options_.valuation_mode == ValuationMode::kSymbolic ||
-        classes.size() * 2 <= v_hi - v_lo;
-    if (collapse_pays) {
-      // Counted per class *checked* (not per class partitioned) so that a
-      // violation that stops the sweep early keeps the schema invariant
-      // valuation_classes <= valuations_checked: every counted class also
-      // contributed its weight to the coverage counter.
-      static obs::Counter& class_counter =
-          obs::Registry::Global().counter("engine.valuation_classes");
-
-      const bool class_fan_out =
-          pool_ != nullptr && lanes_ > 1 && classes.size() > 1;
-      if (!class_fan_out) {
-        std::vector<ValuationLane> lanes(1);
-        ValuationLane& lane = lanes[0];
-        for (const ValuationClass& c : classes) {
-          class_counter.Add(1);
-          Result<bool> one = CheckOneValuation(ctx, c.min_index, lane, c.size);
-          if (!one.ok()) {
-            merge_lane(lane);
-            replay_budget_events(lanes, static_cast<size_t>(-1));
-            return one.status();
-          }
-          if (*one) {
-            merge_lane(lane);
-            replay_budget_events(lanes, c.min_index);
-            outcome.violation_found = true;
-            outcome.databases = dbs;
-            outcome.label = task.valuations.DecodeSpellings(c.min_index);
-            outcome.lasso = std::move(lane.candidate->lasso);
-            outcome.violation_valuation_index = c.min_index;
-            return true;
-          }
-        }
-        merge_lane(lane);
-        replay_budget_events(lanes, static_cast<size_t>(-1));
-        apply_range_end();
-        return false;
-      }
-
-      // Parallel class fan-out: chunks of the (ascending-representative)
-      // class list, with the same CAS-min stop fence as the concrete
-      // dispatch — positions order exactly as representative indices do,
-      // so the merged witness is still the lowest-index one.
-      obs::PhaseTimer fanout_phase("valuation_fanout");
-      std::vector<ValuationLane> lanes(lanes_);
-      std::atomic<size_t> stop_before{static_cast<size_t>(-1)};
-      std::atomic<bool> abort{false};
-      obs::TimedMutex stop_mu{"engine.fanout_stop"};
-      std::optional<Status> stop_event;
-      std::optional<std::pair<size_t, Status>> hard_error;  // class position
-      const size_t work = classes.size();
-      const size_t per_chunk = std::max<size_t>(
-          1, std::min<size_t>(256, work / (lanes_ * 8) + 1));
-      const size_t num_chunks = (work + per_chunk - 1) / per_chunk;
-      static obs::Counter& chunk_counter =
-          obs::Registry::Global().counter("engine.valuation_chunks");
-      ThreadPool::ParallelChunks(
-          pool_, lanes_ - 1, num_chunks, [&](size_t lane_id, size_t chunk) {
-            ValuationLane& lane = lanes[lane_id];
-            chunk_counter.Add(1);
-            const size_t begin = chunk * per_chunk;
-            const size_t end = std::min(work, begin + per_chunk);
-            for (size_t pos = begin; pos < end; ++pos) {
-              if (abort.load(std::memory_order_acquire)) return;
-              if (pos >= stop_before.load(std::memory_order_acquire)) break;
-              class_counter.Add(1);
-              Result<bool> one = CheckOneValuation(
-                  ctx, classes[pos].min_index, lane, classes[pos].size);
-              if (!one.ok()) {
-                std::lock_guard<obs::TimedMutex> lock(stop_mu);
-                if (RunControl::IsStopStatus(one.status())) {
-                  if (!stop_event.has_value()) stop_event = one.status();
-                } else if (!hard_error.has_value() ||
-                           pos < hard_error->first) {
-                  hard_error = {pos, one.status()};
-                }
-                abort.store(true, std::memory_order_release);
-                return;
-              }
-              if (*one) {
-                size_t cur = stop_before.load(std::memory_order_acquire);
-                while (pos < cur &&
-                       !stop_before.compare_exchange_weak(
-                           cur, pos, std::memory_order_acq_rel)) {
-                }
-                break;
-              }
-            }
-          });
-
-      obs::PhaseTimer merge_phase("merge");
-      for (const ValuationLane& lane : lanes) merge_lane(lane);
-      const ValuationLane::Candidate* best = nullptr;
-      for (ValuationLane& lane : lanes) {
-        if (lane.candidate.has_value() &&
-            (best == nullptr || lane.candidate->index < best->index)) {
-          best = &*lane.candidate;
-        }
-      }
-      // Class positions and representative indices order identically
-      // (classes are disjoint, so minima are distinct); recover the
-      // winner's position for the serial-order race against a hard error.
-      size_t best_pos = static_cast<size_t>(-1);
-      if (best != nullptr) {
-        best_pos = static_cast<size_t>(
-            std::lower_bound(classes.begin(), classes.end(), best->index,
-                             [](const ValuationClass& c, size_t idx) {
-                               return c.min_index < idx;
-                             }) -
-            classes.begin());
-      }
-      if (hard_error.has_value() &&
-          (best == nullptr || hard_error->first < best_pos)) {
-        return hard_error->second;
-      }
-      if (stop_event.has_value() && best == nullptr) {
-        return *stop_event;
-      }
-      if (best != nullptr) {
-        if (stop_event.has_value()) {
-          outcome.stop_status = *stop_event;
-        } else {
-          replay_budget_events(lanes, best->index);
-        }
-        outcome.violation_found = true;
-        outcome.databases = dbs;
-        outcome.label = task.valuations.DecodeSpellings(best->index);
-        outcome.lasso =
-            std::move(const_cast<ValuationLane::Candidate*>(best)->lasso);
-        outcome.violation_valuation_index = best->index;
-        return true;
-      }
-      replay_budget_events(lanes, static_cast<size_t>(-1));
-      apply_range_end();
-      return false;
-    }
-  }
-
-  // Fan the valuation sweep out only when the graph is complete (searches
-  // on a partial graph grow it on the fly, which is inherently serial) and
-  // there is real work to split.
-  const bool fan_out =
-      pool_ != nullptr && lanes_ > 1 && complete_graph && v_hi - v_lo > 1;
-
-  if (!fan_out) {
-    std::vector<ValuationLane> lanes(1);
-    ValuationLane& lane = lanes[0];
-    for (size_t vi = v_lo; vi < v_hi; ++vi) {
-      Result<bool> one = CheckOneValuation(ctx, vi, lane);
-      if (!one.ok()) {
-        merge_lane(lane);
-        replay_budget_events(lanes, static_cast<size_t>(-1));
-        return one.status();
-      }
-      if (*one) {
-        // The engine.violations counter is bumped by Run() once the winning
-        // witness is selected — a parallel sweep may record candidates in
-        // several workers but reports exactly one.
-        merge_lane(lane);
-        replay_budget_events(lanes, vi);
-        outcome.violation_found = true;
-        outcome.databases = dbs;
-        outcome.label = task.valuations.DecodeSpellings(vi);
-        outcome.lasso = std::move(lane.candidate->lasso);
-        outcome.violation_valuation_index = vi;
-        return true;
-      }
-    }
-    merge_lane(lane);
-    replay_budget_events(lanes, static_cast<size_t>(-1));
-    apply_range_end();
     return false;
   }
-
-  // Parallel valuation fan-out on the shared scheduler, with
-  // ParallelSweep's deterministic merge semantics: chunks are claimed in
-  // increasing index order, dispatch stops below the best witness index, so
-  // every valuation preceding the winner is fully checked and the reported
-  // witness is bit-for-bit the serial one.
-  obs::PhaseTimer fanout_phase("valuation_fanout");
-  std::vector<ValuationLane> lanes(lanes_);
-  std::atomic<size_t> stop_before{static_cast<size_t>(-1)};
-  std::atomic<bool> abort{false};
-  obs::TimedMutex stop_mu{"engine.fanout_stop"};
-  std::optional<Status> stop_event;
-  std::optional<std::pair<size_t, Status>> hard_error;
-  const size_t work = v_hi - v_lo;
-  const size_t per_chunk = std::max<size_t>(
-      1, std::min<size_t>(256, work / (lanes_ * 8) + 1));
-  const size_t num_chunks = (work + per_chunk - 1) / per_chunk;
-  static obs::Counter& chunk_counter =
-      obs::Registry::Global().counter("engine.valuation_chunks");
-  ThreadPool::ParallelChunks(
-      pool_, lanes_ - 1, num_chunks, [&](size_t lane_id, size_t chunk) {
-        ValuationLane& lane = lanes[lane_id];
-        chunk_counter.Add(1);
-        const size_t begin = v_lo + chunk * per_chunk;
-        const size_t end = std::min(v_hi, begin + per_chunk);
-        for (size_t vi = begin; vi < end; ++vi) {
-          if (abort.load(std::memory_order_acquire)) return;
-          if (vi >= stop_before.load(std::memory_order_acquire)) break;
-          Result<bool> one = CheckOneValuation(ctx, vi, lane);
-          if (!one.ok()) {
-            std::lock_guard<obs::TimedMutex> lock(stop_mu);
-            if (RunControl::IsStopStatus(one.status())) {
-              if (!stop_event.has_value()) stop_event = one.status();
-            } else if (!hard_error.has_value() || vi < hard_error->first) {
-              hard_error = {vi, one.status()};
-            }
-            abort.store(true, std::memory_order_release);
-            return;
-          }
-          if (*one) {
-            // Lower the dispatch fence; CAS-min since another lane may have
-            // found an earlier witness concurrently. Chunks this lane
-            // claims later start above the fence and are skipped on entry.
-            size_t cur = stop_before.load(std::memory_order_acquire);
-            while (vi < cur &&
-                   !stop_before.compare_exchange_weak(
-                       cur, vi, std::memory_order_acq_rel)) {
-            }
-            break;
-          }
-        }
-      });
-
-  obs::PhaseTimer merge_phase("merge");
-  for (const ValuationLane& lane : lanes) merge_lane(lane);
-
-  // Lowest-index witness across lanes; then the serial-order precedence
-  // between it and a hard error (whichever the serial loop hits first).
-  const ValuationLane::Candidate* best = nullptr;
-  for (ValuationLane& lane : lanes) {
-    if (lane.candidate.has_value() &&
-        (best == nullptr || lane.candidate->index < best->index)) {
-      best = &*lane.candidate;
+  // The engine.violations counter is bumped by Run(): lanes may record
+  // several candidates, but exactly one witness is reported.
+  outcome.violation_found = true;
+  outcome.databases = dbs;
+  outcome.label = task.valuations.DecodeSpellings(verdict.witness);
+  for (ValuationLane& lane : lane_state) {
+    if (lane.candidate.has_value() && lane.candidate->index == verdict.witness) {
+      outcome.lasso = std::move(lane.candidate->lasso);
     }
   }
-  if (hard_error.has_value() &&
-      (best == nullptr || hard_error->first < best->index)) {
-    return hard_error->second;
-  }
-  if (stop_event.has_value() && best == nullptr) {
-    return *stop_event;
-  }
-  if (best != nullptr) {
-    // A witness that raced with a deadline/cancel stop is still a sound
-    // violation (mirrors ParallelSweep); the stop supersedes budget events
-    // as the recorded stop status.
-    if (stop_event.has_value()) {
-      outcome.stop_status = *stop_event;
-    } else {
-      replay_budget_events(lanes, best->index);
-    }
-    outcome.violation_found = true;
-    outcome.databases = dbs;
-    outcome.label = task.valuations.DecodeSpellings(best->index);
-    outcome.lasso = std::move(const_cast<ValuationLane::Candidate*>(best)->lasso);
-    outcome.violation_valuation_index = best->index;
-    return true;
-  }
-  replay_budget_events(lanes, static_cast<size_t>(-1));
-  apply_range_end();
-  return false;
+  outcome.violation_valuation_index = verdict.witness;
+  return true;
 }
 
 namespace {
@@ -1128,6 +902,14 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
   obs::Registry::Global()
       .counter("engine.instances")
       .Add(task.valuations.size());
+  // The valuation slice every database checks: a pinned run's shard, the
+  // whole space on database sweeps (which reject a valuation range).
+  // Indices stay absolute, so a shard's witness valuation index matches the
+  // unsharded run's.
+  const size_t v_lo =
+      std::min(options_.valuation_range_lo, task.valuations.size());
+  const size_t v_hi =
+      std::min(options_.valuation_range_hi, task.valuations.size());
 
   // Rebinds the engine's borrowed scheduler for the duration of this run;
   // cleared on every exit path so a later Run never sees a dangling pool.
@@ -1152,17 +934,13 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     std::optional<ThreadPool> pool;
     if (jobs > 1) pool.emplace(jobs - 1);
     SchedulerBinding binding(this, pool.has_value() ? &*pool : nullptr, jobs);
-    {
-      // Pinned runs know their work total up front: the assigned valuation
-      // slice. The heartbeat turns it into an ETA.
-      const size_t v_total = task.valuations.size();
-      const size_t v_lo = std::min(options_.valuation_range_lo, v_total);
-      const size_t v_hi = std::min(options_.valuation_range_hi, v_total);
-      obs::ProgressMeter::Global().SetGoal(
-          obs::ProgressMeter::GoalUnit::kValuations, v_hi - v_lo);
-    }
+    // Pinned runs know their work total up front: the assigned valuation
+    // slice. The heartbeat turns it into an ETA.
+    obs::ProgressMeter::Global().SetGoal(
+        obs::ProgressMeter::GoalUnit::kValuations, v_hi - v_lo);
     CountDatabase(outcome);
-    Result<bool> found = CheckDatabases(task, *options_.fixed_databases,
+    Result<bool> found = CheckDatabases(task, v_lo, v_hi,
+                                        *options_.fixed_databases,
                                         /*db_index=*/0, outcome);
     if (!found.ok()) {
       if (!RunControl::IsStopStatus(found.status())) return found.status();
@@ -1181,9 +959,6 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
     // fan-out has no per-valuation completion order to attest).
     outcome.coverage_unit = "valuation";
     if (found.ok()) {
-      const size_t v_total = task.valuations.size();
-      const size_t v_lo = std::min(options_.valuation_range_lo, v_total);
-      const size_t v_hi = std::min(options_.valuation_range_hi, v_total);
       if (*found) {
         AddInterval(&outcome.covered, v_lo,
                     outcome.violation_valuation_index);
@@ -1274,7 +1049,8 @@ Result<EngineOutcome> VerificationEngine::Run(SymbolicTask& task) {
       EngineOutcome swept,
       sweep.Run([&](size_t db_index, const std::vector<data::Instance>& dbs,
                     EngineOutcome& worker_outcome) {
-        return CheckDatabases(task, dbs, db_index, worker_outcome);
+        return CheckDatabases(task, v_lo, v_hi, dbs, db_index,
+                              worker_outcome);
       }));
   swept.jobs = jobs;
   if (swept.violation_found) {

@@ -46,6 +46,8 @@ class ValuationSpace {
   /// The domain in digit order: index digit d at position p means
   /// "closure variable p takes values()[d]".
   const std::vector<data::Value>& values() const { return values_; }
+  /// The digit of `v` in values(), or -1 when no valuation takes `v`.
+  int DigitOf(data::Value v) const;
 
   /// Decodes valuation `index` as interned values, aligned with the
   /// closure-variable order. `out` is overwritten (reuse it across calls to
@@ -53,11 +55,7 @@ class ValuationSpace {
   void DecodeValues(size_t index, std::vector<data::Value>* out) const;
 
   /// Decodes valuation `index` as constant spellings (the witness-label /
-  /// rendering form) into `*out`, reusing its capacity — the form the
-  /// fan-out loop uses with a per-lane scratch buffer.
-  void DecodeSpellings(size_t index, std::vector<std::string>* out) const;
-
-  /// Allocating convenience form of the above.
+  /// rendering form), aligned with the closure-variable order.
   std::vector<std::string> DecodeSpellings(size_t index) const;
 
  private:
@@ -306,9 +304,11 @@ struct EngineOutcome {
 /// and shared by all instances; instances whose automaton is empty after
 /// fixing the database-rigid propositions are skipped without search.
 ///
-/// With options.jobs > 1 the sweep runs on a worker pool (ParallelSweep):
-/// each worker checks whole databases against its private accumulators;
-/// the task, composition, interner and domain are shared read-only.
+/// Databases are swept by ParallelSweep and, within each database, the
+/// valuations by the chunked valuation stage of CheckDatabases; both follow
+/// one ordered-first-witness protocol (FirstWitnessDispatch), and jobs = 1
+/// is its one-lane case. Workers check against private accumulators; the
+/// task, composition, interner and domain are shared read-only.
 class VerificationEngine {
  public:
   /// `comp` and `interner` must outlive the engine. `fresh` are the
@@ -320,25 +320,27 @@ class VerificationEngine {
   Result<EngineOutcome> Run(SymbolicTask& task);
 
   /// The per-database checking step of the sweep: explores the
-  /// configuration graph for `dbs` and runs every task instance against it,
-  /// accumulating into `outcome`. Returns true when a witness was recorded
-  /// (outcome.databases/label/lasso; the caller assigns the index).
-  /// `db_index` labels the trace span. Thread-safe for concurrent calls
-  /// with distinct `outcome` objects.
-  Result<bool> CheckDatabases(const SymbolicTask& task,
+  /// configuration graph for `dbs` and runs the task instances of the
+  /// valuation slice [v_lo, v_hi) against it, accumulating into `outcome`.
+  /// Returns true when a witness was recorded (outcome.databases/label/
+  /// lasso; the caller assigns the index). `db_index` labels the trace
+  /// span. Thread-safe for concurrent calls with distinct `outcome` objects.
+  Result<bool> CheckDatabases(const SymbolicTask& task, size_t v_lo,
+                              size_t v_hi,
                               const std::vector<data::Instance>& dbs,
                               size_t db_index, EngineOutcome& outcome);
 
  private:
-  /// One valuation instance of the fan-out, shared by the serial loop and
-  /// the chunked parallel dispatch (see engine.cc).
   struct ValuationLane;
   struct ValuationContext;
-  /// `weight` is the number of valuation indices this check stands for: 1
-  /// on the concrete path, the class size on the symbolic path (coverage
-  /// counters scale by it; the search itself runs once, on `index`).
+  /// Checks one item of the valuation stage's work list on `lane`: true
+  /// when it holds a witness (kept as the lane's candidate), a
+  /// kBudgetExceeded status when the state budget cut its search. `weight`
+  /// is the number of valuation indices the item stands for: 1 in concrete
+  /// mode, the class size in symbolic mode (coverage counters scale by it;
+  /// the search itself runs once, on `index`).
   Result<bool> CheckOneValuation(const ValuationContext& ctx, size_t index,
-                                 ValuationLane& lane, size_t weight = 1);
+                                 ValuationLane& lane, size_t weight);
 
   const spec::Composition* comp_;
   const Interner* interner_;

@@ -1,7 +1,6 @@
 #include "verifier/parallel_sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <new>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/timer.h"
+#include "verifier/first_witness.h"
 
 namespace wsv::verifier {
 
@@ -34,10 +34,6 @@ struct Candidate {
 struct Worker {
   EngineOutcome outcome;
   std::optional<Candidate> candidate;
-  /// (database index, status) per database whose check ended with a
-  /// non-OK budget status — replayed in serial order at merge time.
-  std::vector<std::pair<size_t, Status>> budget_events;
-  std::optional<std::pair<size_t, Status>> error;
 };
 
 /// Shared completion bookkeeping: the contiguous completed prefix of the
@@ -54,17 +50,6 @@ struct Progress {
   size_t total_done = 0;
   size_t since_checkpoint = 0;
 };
-
-void AddSearchStats(const SearchStats& from, SearchStats& into) {
-  into.snapshots += from.snapshots;
-  into.product_states += from.product_states;
-  into.transitions += from.transitions;
-  into.graph_transitions += from.graph_transitions;
-  into.leaf_cache_hits += from.leaf_cache_hits;
-  into.leaf_cache_misses += from.leaf_cache_misses;
-  into.inner_searches += from.inner_searches;
-  into.budget_hits += from.budget_hits;
-}
 
 /// The fault-isolation boundary: a check that throws (std::bad_alloc from a
 /// huge product search, most importantly) is converted to a hard error
@@ -113,17 +98,11 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   bool max_databases_hit = false;
   bool range_end_hit = false;
 
-  // Lowest witness index found so far; dispatch stops at or above it. Only
-  // ever lowered, so every index below the final value was dispatched (in
-  // order) and fully checked — the basis of the determinism guarantee.
-  std::atomic<size_t> stop_before{static_cast<size_t>(-1)};
-  // A hard (non-budget) error anywhere aborts all dispatch.
-  std::atomic<bool> abort{false};
-  // A deadline/cancel stop winds dispatch down; checks already running
-  // observe the same token and stop from within.
-  std::atomic<bool> stopped{false};
-  obs::TimedMutex stop_mu{"sweep.stop"};
-  std::optional<Status> stop_event;
+  // Databases are dispatched in index order, so every index below the
+  // final witness fence was fully checked. A hard error or a deadline/
+  // cancel stop closes dispatch; checks already running observe the same
+  // token and stop from within.
+  FirstWitnessDispatch dispatch(options_.jobs, "sweep.stop");
 
   Progress progress;
   progress.next_expected = options_.start_index;
@@ -138,12 +117,6 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   static obs::Counter& failures_counter =
       registry.counter("sweep.db_failures");
   static obs::Counter& retries_counter = registry.counter("sweep.retries");
-
-  auto record_stop = [&](const Status& status) {
-    std::lock_guard<obs::TimedMutex> lock(stop_mu);
-    if (!stop_event.has_value()) stop_event = status;
-    stopped.store(true, std::memory_order_release);
-  };
 
   auto mark_done = [&](size_t index) {
     std::lock_guard<obs::TimedMutex> lock(progress.mu);
@@ -180,19 +153,18 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   auto worker_fn = [&](size_t w) {
     Worker& me = workers[w];
     std::vector<data::Instance> dbs;
-    while (!abort.load(std::memory_order_acquire) &&
-           !stopped.load(std::memory_order_acquire)) {
+    while (dispatch.open()) {
       size_t index;
       {
         std::lock_guard<obs::TimedMutex> lock(producer_mu);
         if (options_.control != nullptr) {
           Status token = options_.control->Check();
           if (!token.ok()) {
-            record_stop(token);
+            dispatch.Fail(next_index, token);
             break;
           }
         }
-        if (next_index >= stop_before.load(std::memory_order_acquire)) break;
+        if (!dispatch.Admits(next_index)) break;
         bool more = [&] {
           obs::PhaseTimer enum_phase("db_enum");
           return enumerator_->Next(&dbs);
@@ -217,11 +189,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
       obs::ProgressMeter::Global().MaybeBeat();
 
       Result<bool> found = GuardedCheck(check, index, dbs, me.outcome);
-      if (!found.ok() && RunControl::IsStopStatus(found.status())) {
-        record_stop(found.status());
-        break;
-      }
-      if (!found.ok()) {
+      if (!found.ok() && !RunControl::IsStopStatus(found.status())) {
         // Hard error: retry once on the same worker-local accumulators
         // (statistics may double-count the failed attempt; the verdict
         // machinery is unaffected). Clear any budget event the failed
@@ -230,25 +198,19 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
         ++me.outcome.db_retries;
         retries_counter.Add(1);
         found = GuardedCheck(check, index, dbs, me.outcome);
-        if (!found.ok() && RunControl::IsStopStatus(found.status())) {
-          record_stop(found.status());
-          break;
-        }
-        if (!found.ok()) {
-          if (options_.skip_failed_databases) {
-            me.outcome.stop_status = Status::Ok();
-            mark_failed(index);
-            continue;
-          }
-          if (!me.error.has_value() || index < me.error->first) {
-            me.error = {index, found.status()};
-          }
-          abort.store(true, std::memory_order_release);
-          break;
+        if (!found.ok() && !RunControl::IsStopStatus(found.status()) &&
+            options_.skip_failed_databases) {
+          me.outcome.stop_status = Status::Ok();
+          mark_failed(index);
+          continue;
         }
       }
+      if (!found.ok()) {
+        dispatch.Fail(index, found.status());
+        break;
+      }
       if (!me.outcome.stop_status.ok()) {
-        me.budget_events.emplace_back(index, me.outcome.stop_status);
+        dispatch.Budget(w, index, me.outcome.stop_status);
         me.outcome.stop_status = Status::Ok();
       }
       mark_done(index);
@@ -258,18 +220,7 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
                                  std::move(me.outcome.databases),
                                  std::move(me.outcome.label),
                                  std::move(me.outcome.lasso)};
-        me.outcome.violation_found = false;
-        me.outcome.violation_valuation_index = static_cast<size_t>(-1);
-        me.outcome.databases.clear();
-        me.outcome.label.clear();
-        me.outcome.lasso = LassoWitness{};
-        // Lower the dispatch fence; CAS-min since another worker may have
-        // found an earlier witness concurrently.
-        size_t cur = stop_before.load(std::memory_order_acquire);
-        while (index < cur &&
-               !stop_before.compare_exchange_weak(
-                   cur, index, std::memory_order_acq_rel)) {
-        }
+        dispatch.Witness(index);
         // This worker's future pulls would all have higher indices than its
         // own witness — nothing left for it to decide.
         break;
@@ -303,41 +254,22 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
     merged.prefilter_memo_misses += w.outcome.prefilter_memo_misses;
     merged.prefilter_memo_hits += w.outcome.prefilter_memo_hits;
     merged.db_retries += w.outcome.db_retries;
-    AddSearchStats(w.outcome.search_stats, merged.search_stats);
+    merged.search_stats += w.outcome.search_stats;
   }
   merged.completed_prefix = progress.next_expected;
 
-  // Lowest-index witness and lowest-index hard error across workers.
-  Candidate* best = nullptr;
+  WSV_ASSIGN_OR_RETURN(const FirstWitnessDispatch::Verdict verdict,
+                       dispatch.Resolve());
   for (Worker& w : workers) {
-    if (w.candidate.has_value() &&
-        (best == nullptr || w.candidate->index < best->index)) {
-      best = &*w.candidate;
+    if (!w.candidate.has_value() || w.candidate->index != verdict.witness) {
+      continue;
     }
-  }
-  std::optional<std::pair<size_t, Status>> first_error;
-  for (const Worker& w : workers) {
-    if (w.error.has_value() &&
-        (!first_error.has_value() || w.error->first < first_error->first)) {
-      first_error = w.error;
-    }
-  }
-
-  // The serial sweep processes indices in order, so whichever of
-  // {first witness, first hard error} has the lower index is what it would
-  // have reported; the other is unreachable.
-  if (first_error.has_value() &&
-      (best == nullptr || first_error->first < best->index)) {
-    return first_error->second;
-  }
-
-  if (best != nullptr) {
     merged.violation_found = true;
-    merged.violation_db_index = best->index;
-    merged.violation_valuation_index = best->valuation_index;
-    merged.databases = std::move(best->databases);
-    merged.label = std::move(best->label);
-    merged.lasso = std::move(best->lasso);
+    merged.violation_db_index = w.candidate->index;
+    merged.violation_valuation_index = w.candidate->valuation_index;
+    merged.databases = std::move(w.candidate->databases);
+    merged.label = std::move(w.candidate->label);
+    merged.lasso = std::move(w.candidate->lasso);
   }
 
   // Failed indices: sorted, and — when a witness exists — restricted to
@@ -345,46 +277,30 @@ Result<EngineOutcome> ParallelSweep::Run(const CheckFn& check) {
   // later failures are unreachable.
   std::sort(progress.failed.begin(), progress.failed.end());
   for (size_t index : progress.failed) {
-    if (best != nullptr && index >= best->index) break;
+    if (index >= verdict.witness) break;
     merged.failed_db_indices.push_back(index);
   }
 
   // Stop status, serial-equivalent. Precedence: a deadline/cancel stop is
   // the reason the sweep ended; otherwise skipped failures bound the
-  // verdict; otherwise replay budget events — the serial sweep overwrites
-  // its budget status per database, so it ends with the event of the
-  // highest index it processed, which is at most the witness index (it
-  // stops there). Events beyond the witness come from in-flight databases
-  // the serial sweep never reaches; drop them.
-  if (stop_event.has_value()) {
-    merged.stop_status = *stop_event;
+  // verdict; otherwise the replayed budget event.
+  if (verdict.stop.has_value()) {
+    merged.stop_status = *verdict.stop;
   } else if (!merged.failed_db_indices.empty()) {
     merged.stop_status = Status::PartialFailure(
         std::to_string(merged.failed_db_indices.size()) +
         " database check(s) failed and were skipped; verdict is bounded to "
         "the databases that completed");
   } else {
-    size_t cutoff = best != nullptr ? best->index : static_cast<size_t>(-1);
-    std::optional<std::pair<size_t, Status>> last_budget;
-    for (const Worker& w : workers) {
-      for (const auto& event : w.budget_events) {
-        if (event.first > cutoff) continue;
-        if (!last_budget.has_value() || event.first > last_budget->first) {
-          last_budget = event;
-        }
-      }
-    }
-    if (last_budget.has_value()) {
-      merged.stop_status = last_budget->second;
-    }
-    if (best == nullptr && range_end_hit && !last_budget.has_value()) {
+    if (verdict.budget.has_value()) merged.stop_status = *verdict.budget;
+    if (!verdict.found() && range_end_hit && !verdict.budget.has_value()) {
       // A bounded per-database search keeps its budget status: reporting
       // range-end over it would let a merge attest full coverage of a range
       // whose databases were only partially searched.
       merged.stop_status = Status::RangeEnd(
           "database enumeration stopped at the end of the assigned range; "
           "the verdict covers exactly this shard's indices");
-    } else if (best == nullptr && max_databases_hit) {
+    } else if (!verdict.found() && max_databases_hit) {
       merged.stop_status = Status::BudgetExceeded(
           "database enumeration stopped at max_databases; verdict is "
           "bounded");

@@ -64,8 +64,9 @@ struct SweepOptions {
 /// Determinism guarantee (uninterrupted runs): the reported witness is
 /// always the one with the LOWEST database index in enumeration order,
 /// bit-for-bit identical to the serial sweep's. Dispatch is monotone in the
-/// index and stops below the current best witness index, so every database
-/// preceding the winner is fully checked before the sweep concludes;
+/// index and stops below the current best witness index (FirstWitnessDispatch,
+/// shared with the valuation stage), so every database preceding the winner
+/// is fully checked before the sweep concludes;
 /// databases beyond the winner that were already in flight only contribute
 /// to the aggregate statistics (databases_checked and friends may exceed
 /// their serial values — verdict, witness index, witness label and lasso

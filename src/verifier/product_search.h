@@ -44,6 +44,18 @@ struct SearchStats {
   size_t inner_searches = 0;
   /// Searches aborted by the product-state budget.
   size_t budget_hits = 0;
+
+  SearchStats& operator+=(const SearchStats& other) {
+    snapshots += other.snapshots;
+    product_states += other.product_states;
+    transitions += other.transitions;
+    graph_transitions += other.graph_transitions;
+    leaf_cache_hits += other.leaf_cache_hits;
+    leaf_cache_misses += other.leaf_cache_misses;
+    inner_searches += other.inner_searches;
+    budget_hits += other.budget_hits;
+    return *this;
+  }
 };
 
 /// A violating run witness: a finite prefix from an initial snapshot

@@ -13,8 +13,8 @@
 #include "fo/bdd.h"
 #include "fo/eval.h"
 #include "fo/formula.h"
-#include "fo/logic.h"
 #include "map_structure.h"
+#include "point_evaluator.h"
 
 namespace wsv::fo {
 namespace {
@@ -249,7 +249,7 @@ TEST_P(FoRandomTest, RelationalEvaluatorMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FoRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-/// Differential test of the templated backends (fo/logic.h): the
+/// Differential test of the templated backends (point_evaluator.h): the
 /// Logic<bool> point evaluator must agree with the oracle assignment by
 /// assignment, and the BddLogic evaluation — free variables bound to digit
 /// slots — must denote exactly the set of valuation indices whose decoded

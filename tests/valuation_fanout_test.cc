@@ -182,5 +182,32 @@ TEST(ValuationFanout, ExpiredDeadlineCutsParallelSweep) {
   EXPECT_EQ(run.violations_counter, 0u);
 }
 
+/// A valuation space past 2^63 — here 28 closure variables over a domain
+/// of five, which saturates the index space at SIZE_MAX — still resolves to
+/// its low-index witness. The chunk arithmetic must neither wrap to zero
+/// chunks (a silent "holds") nor leave the lanes draining 2^56 dead chunks
+/// after the witness.
+TEST(ValuationFanout, SaturatedSpaceFindsLowIndexWitness) {
+  auto comp = spec::ParseComposition(kPipeline);
+  ASSERT_TRUE(comp.ok()) << comp.status();
+  std::string vars = "x0";
+  for (int i = 1; i < 28; ++i) vars += ", x" + std::to_string(i);
+  const std::string property = "forall " + vars + ": G(not Store.t(x0))";
+
+  RunResult serial = VerifyPinned(*comp, property, 1);
+  ASSERT_FALSE(serial.result.holds);
+  ASSERT_TRUE(serial.result.counterexample.has_value());
+  const size_t serial_vi = serial.result.counterexample->valuation_index;
+  EXPECT_LT(serial_vi, 5u);
+
+  RunResult parallel = VerifyPinned(*comp, property, 4);
+  ASSERT_FALSE(parallel.result.holds);
+  ASSERT_TRUE(parallel.result.counterexample.has_value());
+  EXPECT_EQ(parallel.result.counterexample->valuation_index, serial_vi);
+  EXPECT_EQ(parallel.result.counterexample->closure_valuation,
+            serial.result.counterexample->closure_valuation);
+  EXPECT_EQ(parallel.counterexample_text, serial.counterexample_text);
+}
+
 }  // namespace
 }  // namespace wsv::verifier
