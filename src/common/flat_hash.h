@@ -57,6 +57,12 @@ class FlatIdSet {
 
   size_t size() const { return size_; }
 
+  /// Bytes held by the slot and hash arrays.
+  size_t bytes() const {
+    return slots_.capacity() * sizeof(uint32_t) +
+           hashes_.capacity() * sizeof(size_t);
+  }
+
   void Reserve(size_t n) {
     size_t want = kMinSlots;
     while (n * 8 > want * 7) want *= 2;

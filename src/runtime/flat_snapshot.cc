@@ -48,13 +48,6 @@ data::Instance& PartInstance(PeerConfig& cfg, size_t part) {
   }
 }
 
-void AppendRelation(const data::Relation& rel, std::vector<uint32_t>* out) {
-  out->push_back(static_cast<uint32_t>(rel.size()));
-  for (const data::Tuple& t : rel.tuples()) {
-    for (data::Value v : t) out->push_back(v);
-  }
-}
-
 }  // namespace
 
 FlatSnapshotCodec::FlatSnapshotCodec(const spec::Composition* comp)
@@ -95,13 +88,13 @@ void FlatSnapshotCodec::Encode(const Snapshot& snap,
     for (size_t part = 0; part < 4; ++part) {
       const data::Instance& inst = PartInstance(cfg, part);
       for (size_t r = 0; r < inst.size(); ++r) {
-        AppendRelation(inst.relation(r), out);
+        AppendRelationWords(inst.relation(r), out);
       }
     }
   }
   for (const auto& queue : snap.channels) {
     out->push_back(static_cast<uint32_t>(queue.size()));
-    for (const data::Relation& msg : queue) AppendRelation(msg, out);
+    for (const data::Relation& msg : queue) AppendRelationWords(msg, out);
   }
 }
 
@@ -137,9 +130,7 @@ void FlatSnapshotCodec::Decode(FlatSnapshot flat, Snapshot* out) const {
 
   // Every relation is rebuilt in its existing tuple storage.
   auto read_relation = [&](data::Relation& rel) {
-    uint32_t count = *p++;
-    rel.AssignSortedRows(p, count);
-    p += static_cast<size_t>(count) * rel.arity();
+    p = ReadRelationWords(p, &rel);
   };
 
   for (size_t i = 0; i < peers.size(); ++i) {

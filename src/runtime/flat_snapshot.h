@@ -55,6 +55,26 @@ inline size_t HashFlatSnapshot(const uint32_t* data, size_t words) {
   return static_cast<size_t>(h);
 }
 
+/// Appends `rel` as [tuple_count, values...], tuples in their sorted order:
+/// the relation encoding of FlatSnapshotCodec, also used by MoveMemo keys
+/// and values.
+inline void AppendRelationWords(const data::Relation& rel,
+                                std::vector<uint32_t>* out) {
+  out->push_back(static_cast<uint32_t>(rel.size()));
+  for (const data::Tuple& t : rel.tuples()) {
+    for (data::Value v : t) out->push_back(v);
+  }
+}
+
+/// Reads a relation written by AppendRelationWords at `p` into `rel`, whose
+/// arity must match, reusing its tuple storage. Returns the word after it.
+inline const uint32_t* ReadRelationWords(const uint32_t* p,
+                                         data::Relation* rel) {
+  const uint32_t count = *p++;
+  rel->AssignSortedRows(p, count);
+  return p + static_cast<size_t>(count) * rel->arity();
+}
+
 /// Encoder/decoder for one composition's snapshots. The codec captures the
 /// fixed shape (peer schemas, queue wiring, channel count) once, so
 /// encoding is a single append pass and decoding rebuilds structure without

@@ -1,8 +1,93 @@
 #include "runtime/transition.h"
 
 #include <cassert>
+#include <cstring>
+
+#include "runtime/flat_snapshot.h"
 
 namespace wsv::runtime {
+
+namespace {
+
+/// A move-memo key word for an in-queue holding no message (a head message
+/// starts with its tuple count, which never reaches this value).
+constexpr uint32_t kEmptyQueueWord = ~static_cast<uint32_t>(0);
+
+void AppendInstanceWords(const data::Instance& inst,
+                         std::vector<uint32_t>* out) {
+  for (size_t r = 0; r < inst.size(); ++r) {
+    AppendRelationWords(inst.relation(r), out);
+  }
+}
+
+const uint32_t* ReadInstanceWords(const uint32_t* p, data::Instance* inst) {
+  for (size_t r = 0; r < inst->size(); ++r) {
+    p = ReadRelationWords(p, &inst->relation(r));
+  }
+  return p;
+}
+
+/// [bit_count, bits packed 32 per word].
+void AppendBitWords(const std::vector<bool>& bits,
+                    std::vector<uint32_t>* out) {
+  out->push_back(static_cast<uint32_t>(bits.size()));
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (i % 32 == 0) out->push_back(0);
+    if (bits[i]) out->back() |= 1u << (i % 32);
+  }
+}
+
+const uint32_t* ReadBitWords(const uint32_t* p, std::vector<bool>* bits) {
+  const uint32_t count = *p++;
+  bits->resize(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    (*bits)[i] = (p[i / 32] >> (i % 32)) & 1u;
+  }
+  return p + (count + 31) / 32;
+}
+
+}  // namespace
+
+MoveMemo::Counts MoveMemo::TakeCounts() {
+  Counts out = counts_;
+  const uint64_t held = bytes();
+  out.bytes = held - published_bytes_;
+  published_bytes_ = held;
+  counts_ = Counts();
+  return out;
+}
+
+size_t MoveMemo::bytes() const {
+  size_t total = arena_.used_bytes();
+  for (const std::vector<Table>* tables : {&moves_, &inputs_}) {
+    for (const Table& table : *tables) {
+      total += table.index.bytes() + table.entries.capacity() * sizeof(Entry);
+    }
+  }
+  return total;
+}
+
+const uint32_t* MoveMemo::Find(const Table& table, size_t hash) const {
+  const uint32_t id = table.index.Find(hash, [&](uint32_t candidate) {
+    const Entry& entry = table.entries[candidate];
+    return entry.key_words == key_.size() &&
+           std::memcmp(entry.words, key_.data(),
+                       key_.size() * sizeof(uint32_t)) == 0;
+  });
+  if (id == FlatIdSet::kEmpty) return nullptr;
+  const Entry& entry = table.entries[id];
+  return entry.words + entry.key_words;
+}
+
+void MoveMemo::Insert(Table& table, size_t hash) {
+  uint32_t* words = arena_.AllocWords(key_.size() + value_.size());
+  std::memcpy(words, key_.data(), key_.size() * sizeof(uint32_t));
+  std::memcpy(words + key_.size(), value_.data(),
+              value_.size() * sizeof(uint32_t));
+  table.index.Insert(hash, static_cast<uint32_t>(table.entries.size()));
+  table.entries.push_back(Entry{words, static_cast<uint32_t>(key_.size()),
+                                static_cast<uint32_t>(value_.size())});
+}
 
 TransitionGenerator::TransitionGenerator(const spec::Composition* comp,
                                          std::vector<data::Instance> databases,
@@ -51,6 +136,24 @@ TransitionGenerator::TransitionGenerator(const spec::Composition* comp,
       if (mentioned.count(peer.in_queues()[q].name) > 0) w.consumes[q] = true;
     }
 
+    PeerRules& rules = rules_.emplace_back();
+    auto resolve = [&](spec::RuleKind kind, const data::Schema& schema,
+                       std::vector<const spec::Rule*>* out) {
+      for (size_t i = 0; i < schema.size(); ++i) {
+        out->push_back(peer.FindRule(kind, schema.relation(i).name));
+      }
+    };
+    resolve(spec::RuleKind::kStateInsert, peer.declared_state_schema(),
+            &rules.state_insert);
+    resolve(spec::RuleKind::kStateDelete, peer.declared_state_schema(),
+            &rules.state_delete);
+    resolve(spec::RuleKind::kAction, peer.action_schema(), &rules.action);
+    resolve(spec::RuleKind::kInputOptions, peer.input_schema(),
+            &rules.input_options);
+    for (const spec::QueueDecl& decl : peer.out_queues()) {
+      rules.send.push_back(peer.FindRule(spec::RuleKind::kSend, decl.name));
+    }
+
     // Rule layouts, in the binding order of Definition 2.4's structure:
     // database, state, previous inputs, inputs, then the queue views f(Q)
     // and empty_Q, then the send-error flags (Theorem 3.8: consultable by
@@ -89,6 +192,37 @@ bool TransitionGenerator::ChannelIsLossy(spec::QueueKind kind) const {
   return true;
 }
 
+Status TransitionGenerator::BindMemo(MoveMemo& memo) const {
+  if (memo.owner_ == this) return Status::Ok();
+  if (memo.owner_ != nullptr) {
+    return Status::Internal(
+        "move memo is bound to another transition generator");
+  }
+  memo.owner_ = this;
+  memo.moves_.resize(comp_->peers().size());
+  memo.inputs_.resize(comp_->peers().size());
+  return Status::Ok();
+}
+
+void TransitionGenerator::EncodeViewKey(const Snapshot& snap,
+                                        size_t peer_index, bool include_input,
+                                        std::vector<uint32_t>* out) const {
+  const PeerConfig& cfg = snap.peers[peer_index];
+  out->clear();
+  AppendInstanceWords(cfg.state, out);
+  if (include_input) AppendInstanceWords(cfg.input, out);
+  AppendInstanceWords(cfg.prev, out);
+  AppendBitWords(cfg.send_errors, out);
+  for (size_t channel : wiring_[peer_index].in_channel) {
+    const std::vector<data::Relation>& queue = snap.channels[channel];
+    if (queue.empty()) {
+      out->push_back(kEmptyQueueWord);
+    } else {
+      AppendRelationWords(queue.front(), out);
+    }
+  }
+}
+
 fo::SlotStructure TransitionGenerator::RuleStructure(const Snapshot& snap,
                                                      size_t peer_index,
                                                      bool include_input) const {
@@ -101,11 +235,10 @@ fo::SlotStructure TransitionGenerator::RuleStructure(const Snapshot& snap,
 Status TransitionGenerator::AddInputDigits(
     size_t peer_index, const fo::StructureView& structure,
     std::vector<InputDigit>* digits) const {
-  const spec::Peer& peer = comp_->peers()[peer_index];
-  for (size_t i = 0; i < peer.input_schema().size(); ++i) {
-    const std::string& name = peer.input_schema().relation(i).name;
-    const spec::Rule* rule =
-        peer.FindRule(spec::RuleKind::kInputOptions, name);
+  const std::vector<const spec::Rule*>& rules =
+      rules_[peer_index].input_options;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const spec::Rule* rule = rules[i];
     if (rule == nullptr) continue;  // only "no input" possible
     WSV_ASSIGN_OR_RETURN(
         data::Relation options,
@@ -165,32 +298,27 @@ void TransitionGenerator::DeliverMessages(
   }
 }
 
-Status TransitionGenerator::ForEachPeerSuccessor(
-    const Snapshot& snap, size_t peer_index, const SuccessorSink& sink) const {
+Status TransitionGenerator::EvaluateMove(
+    const Snapshot& snap, size_t peer_index, PeerConfig* cfg,
+    std::vector<std::vector<OutgoingMessage>>* sends) const {
   const spec::Peer& peer = comp_->peers()[peer_index];
-  const PeerWiring& wiring = wiring_[peer_index];
+  const PeerRules& rules = rules_[peer_index];
 
   // Definition 2.4: the transition consumes the input *stored in the
   // current configuration* (Definition 2.3 requires it to be
-  // options-consistent there); the successor's input is re-chosen below
-  // against the successor configuration.
+  // options-consistent there); the successor's input is re-chosen against
+  // the successor configuration.
   fo::SlotStructure structure =
       RuleStructure(snap, peer_index, /*include_input=*/true);
 
-  // The successor is updated in place: every rule reads `structure`, which
-  // borrows from `snap`, the *current* configuration (snapshot semantics).
+  // `cfg` is updated in place: every rule reads `structure`, which borrows
+  // from `snap`, the *current* configuration (snapshot semantics).
   const PeerConfig& current = snap.peers[peer_index];
-  Snapshot next = snap;
-  next.mover = static_cast<int>(peer_index);
-  next.received.assign(next.received.size(), false);
-  next.sent.assign(next.sent.size(), false);
-  PeerConfig& cfg = next.peers[peer_index];
 
   // --- State updates. ---
   for (size_t s = 0; s < peer.declared_state_schema().size(); ++s) {
-    const std::string& name = peer.declared_state_schema().relation(s).name;
-    const spec::Rule* ins = peer.FindRule(spec::RuleKind::kStateInsert, name);
-    const spec::Rule* del = peer.FindRule(spec::RuleKind::kStateDelete, name);
+    const spec::Rule* ins = rules.state_insert[s];
+    const spec::Rule* del = rules.state_delete[s];
     if (ins == nullptr && del == nullptr) continue;  // state unchanged
     const data::Relation& now = current.state.relation(s);
     data::Relation plus(now.arity());
@@ -210,33 +338,32 @@ Status TransitionGenerator::ForEachPeerSuccessor(
     data::Relation result = plus.Difference(minus);
     result = result.Union(now.Intersection(plus.Intersection(minus)));
     result = result.Union(now.Difference(plus.Union(minus)));
-    cfg.state.SetRelation(s, std::move(result));
+    cfg->state.SetRelation(s, std::move(result));
   }
 
   // --- Actions. ---
-  cfg.action.Clear();
-  for (size_t a = 0; a < peer.action_schema().size(); ++a) {
-    const std::string& name = peer.action_schema().relation(a).name;
-    const spec::Rule* rule = peer.FindRule(spec::RuleKind::kAction, name);
+  cfg->action.Clear();
+  for (size_t a = 0; a < rules.action.size(); ++a) {
+    const spec::Rule* rule = rules.action[a];
     if (rule == nullptr) continue;
     WSV_ASSIGN_OR_RETURN(
         data::Relation result,
         evaluator_.EvaluateQuery(rule->body, rule->head_vars, structure));
-    cfg.action.SetRelation(a, std::move(result));
+    cfg->action.SetRelation(a, std::move(result));
   }
 
   // --- Sends. ---
-  std::vector<std::vector<OutgoingMessage>> send_alternatives;
-  send_alternatives.emplace_back();  // start with "messages so far" = none
-  cfg.send_errors.assign(peer.out_queues().size(), false);
+  std::vector<std::vector<OutgoingMessage>>& send_alternatives = *sends;
+  send_alternatives.assign(1, {});  // start with "messages so far" = none
+  cfg->send_errors.assign(peer.out_queues().size(), false);
   for (size_t q = 0; q < peer.out_queues().size(); ++q) {
     const spec::QueueDecl& decl = peer.out_queues()[q];
-    const spec::Rule* rule = peer.FindRule(spec::RuleKind::kSend, decl.name);
+    const spec::Rule* rule = rules.send[q];
     if (rule == nullptr) continue;
     WSV_ASSIGN_OR_RETURN(
         data::Relation result,
         evaluator_.EvaluateQuery(rule->body, rule->head_vars, structure));
-    size_t channel = wiring.out_channel[q];
+    size_t channel = wiring_[peer_index].out_channel[q];
     if (decl.kind == spec::QueueKind::kNested) {
       if (result.empty() && options_.skip_empty_nested_sends) continue;
       for (auto& alt : send_alternatives) {
@@ -252,7 +379,7 @@ Status TransitionGenerator::ForEachPeerSuccessor(
         }
       } else if (options_.deterministic_flat_sends) {
         // Theorem 3.8 semantics: runtime error, no message.
-        cfg.send_errors[q] = true;
+        cfg->send_errors[q] = true;
       } else {
         // Nondeterministically pick one tuple (Definition 2.4).
         std::vector<std::vector<OutgoingMessage>> expanded;
@@ -271,26 +398,87 @@ Status TransitionGenerator::ForEachPeerSuccessor(
     }
   }
 
-  // --- Dequeue consumed in-queues. ---
-  for (size_t q = 0; q < peer.in_queues().size(); ++q) {
-    if (!wiring.consumes[q]) continue;
-    auto& queue = next.channels[wiring.in_channel[q]];
-    if (!queue.empty()) queue.erase(queue.begin());
-  }
-
   // --- Previous-input window update (shift the lookback window with the
   // input this transition consumed). ---
   for (size_t i = 0; i < peer.input_schema().size(); ++i) {
     const std::string& iname = peer.input_schema().relation(i).name;
     if (current.input.relation(i).empty()) continue;  // window unchanged
     for (int k = peer.lookback(); k >= 2; --k) {
-      cfg.prev.relation(spec::PrevInputName(iname, k)) =
-          cfg.prev.relation(spec::PrevInputName(iname, k - 1));
+      cfg->prev.relation(spec::PrevInputName(iname, k)) =
+          cfg->prev.relation(spec::PrevInputName(iname, k - 1));
     }
-    cfg.prev.relation(spec::PrevInputName(iname, 1)) =
+    cfg->prev.relation(spec::PrevInputName(iname, 1)) =
         current.input.relation(i);
   }
+  return Status::Ok();
+}
+
+Status TransitionGenerator::ForEachPeerSuccessor(const Snapshot& snap,
+                                                 size_t peer_index,
+                                                 MoveMemo& memo,
+                                                 const SuccessorSink& sink) const {
+  WSV_RETURN_IF_ERROR(BindMemo(memo));
+  const spec::Peer& peer = comp_->peers()[peer_index];
+  const PeerWiring& wiring = wiring_[peer_index];
+
+  Snapshot next = snap;
+  next.mover = static_cast<int>(peer_index);
+  next.received.assign(next.received.size(), false);
+  next.sent.assign(next.sent.size(), false);
+  PeerConfig& cfg = next.peers[peer_index];
+
+  // --- The move (state, actions, sends, prev window), evaluated once per
+  // distinct rule view of the mover. ---
+  std::vector<std::vector<OutgoingMessage>> send_alternatives;
+  EncodeViewKey(snap, peer_index, /*include_input=*/true, &memo.key_);
+  size_t hash = HashFlatSnapshot(memo.key_.data(), memo.key_.size());
+  MoveMemo::Table& moves = memo.moves_[peer_index];
+  if (const uint32_t* value = memo.Find(moves, hash)) {
+    ++memo.counts_.move_hits;
+    value = ReadInstanceWords(value, &cfg.state);
+    value = ReadInstanceWords(value, &cfg.action);
+    value = ReadInstanceWords(value, &cfg.prev);
+    value = ReadBitWords(value, &cfg.send_errors);
+    send_alternatives.resize(*value++);
+    for (std::vector<OutgoingMessage>& alt : send_alternatives) {
+      alt.resize(*value++);
+      for (OutgoingMessage& msg : alt) {
+        msg.channel = *value++;
+        msg.kind = static_cast<spec::QueueKind>(*value++);
+        msg.content = data::Relation(*value++);
+        value = ReadRelationWords(value, &msg.content);
+      }
+    }
+  } else {
+    ++memo.counts_.move_misses;
+    WSV_RETURN_IF_ERROR(
+        EvaluateMove(snap, peer_index, &cfg, &send_alternatives));
+    std::vector<uint32_t>& out = memo.value_;
+    out.clear();
+    AppendInstanceWords(cfg.state, &out);
+    AppendInstanceWords(cfg.action, &out);
+    AppendInstanceWords(cfg.prev, &out);
+    AppendBitWords(cfg.send_errors, &out);
+    out.push_back(static_cast<uint32_t>(send_alternatives.size()));
+    for (const std::vector<OutgoingMessage>& alt : send_alternatives) {
+      out.push_back(static_cast<uint32_t>(alt.size()));
+      for (const OutgoingMessage& msg : alt) {
+        out.push_back(static_cast<uint32_t>(msg.channel));
+        out.push_back(static_cast<uint32_t>(msg.kind));
+        out.push_back(static_cast<uint32_t>(msg.content.arity()));
+        AppendRelationWords(msg.content, &out);
+      }
+    }
+    memo.Insert(moves, hash);
+  }
   cfg.input.Clear();  // re-chosen per delivered successor below
+
+  // --- Dequeue consumed in-queues. ---
+  for (size_t q = 0; q < peer.in_queues().size(); ++q) {
+    if (!wiring.consumes[q]) continue;
+    auto& queue = next.channels[wiring.in_channel[q]];
+    if (!queue.empty()) queue.erase(queue.begin());
+  }
 
   // --- Deliver messages with lossy/bounded branching (the last send
   // alternative takes `next` itself). ---
@@ -302,15 +490,41 @@ Status TransitionGenerator::ForEachPeerSuccessor(
 
   // --- Choose the successor configuration's input (Definition 2.3), in
   // place: each delivered snapshot is the scratch its input choices are
-  // written into. ---
+  // written into. The options are evaluated once per distinct rule view of
+  // the successor (without inputs). ---
   const StructureLayout& succ_layout =
       RuleLayout(peer_index, /*include_input=*/false);
   fo::SlotStructure succ_structure(&succ_layout.names(), &domain_);
+  MoveMemo::Table& inputs = memo.inputs_[peer_index];
   std::vector<InputDigit> digits;
   for (Snapshot& d : delivered) {
-    succ_layout.Bind(databases_, d, &succ_structure);
     digits.clear();
-    WSV_RETURN_IF_ERROR(AddInputDigits(peer_index, succ_structure, &digits));
+    EncodeViewKey(d, peer_index, /*include_input=*/false, &memo.key_);
+    hash = HashFlatSnapshot(memo.key_.data(), memo.key_.size());
+    if (const uint32_t* value = memo.Find(inputs, hash)) {
+      ++memo.counts_.input_hits;
+      const data::Schema& schema = peer.input_schema();
+      for (uint32_t n = *value++; n > 0; --n) {
+        const size_t relation = *value++;
+        digits.push_back(InputDigit{
+            peer_index, relation,
+            data::Relation(schema.relation(relation).arity())});
+        value = ReadRelationWords(value, &digits.back().options);
+      }
+    } else {
+      ++memo.counts_.input_misses;
+      succ_layout.Bind(databases_, d, &succ_structure);
+      WSV_RETURN_IF_ERROR(
+          AddInputDigits(peer_index, succ_structure, &digits));
+      std::vector<uint32_t>& out = memo.value_;
+      out.clear();
+      out.push_back(static_cast<uint32_t>(digits.size()));
+      for (const InputDigit& digit : digits) {
+        out.push_back(static_cast<uint32_t>(digit.relation));
+        AppendRelationWords(digit.options, &out);
+      }
+      memo.Insert(inputs, hash);
+    }
     ForEachInputChoice(digits, &d, sink);
   }
   return Status::Ok();
@@ -318,9 +532,10 @@ Status TransitionGenerator::ForEachPeerSuccessor(
 
 Result<std::vector<Snapshot>> TransitionGenerator::SuccessorsForPeer(
     const Snapshot& snap, size_t peer_index) const {
+  MoveMemo memo;
   std::vector<Snapshot> successors;
   WSV_RETURN_IF_ERROR(ForEachPeerSuccessor(
-      snap, peer_index, [&](Snapshot& s) { successors.push_back(s); }));
+      snap, peer_index, memo, [&](Snapshot& s) { successors.push_back(s); }));
   return successors;
 }
 
@@ -492,9 +707,9 @@ Result<std::vector<Snapshot>> TransitionGenerator::EnvSuccessors(
 }
 
 Status TransitionGenerator::ForEachSuccessor(
-    const Snapshot& snap, const SuccessorSink& sink) const {
+    const Snapshot& snap, MoveMemo& memo, const SuccessorSink& sink) const {
   for (size_t p = 0; p < comp_->peers().size(); ++p) {
-    WSV_RETURN_IF_ERROR(ForEachPeerSuccessor(snap, p, sink));
+    WSV_RETURN_IF_ERROR(ForEachPeerSuccessor(snap, p, memo, sink));
   }
   if (options_.allow_env_moves) {
     WSV_ASSIGN_OR_RETURN(std::vector<Snapshot> succ, EnvSuccessors(snap));
@@ -505,9 +720,10 @@ Status TransitionGenerator::ForEachSuccessor(
 
 Result<std::vector<Snapshot>> TransitionGenerator::Successors(
     const Snapshot& snap) const {
+  MoveMemo memo;
   std::vector<Snapshot> all;
   WSV_RETURN_IF_ERROR(
-      ForEachSuccessor(snap, [&](Snapshot& s) { all.push_back(s); }));
+      ForEachSuccessor(snap, memo, [&](Snapshot& s) { all.push_back(s); }));
   return all;
 }
 

@@ -1,9 +1,12 @@
 #ifndef WSVERIFY_RUNTIME_TRANSITION_H_
 #define WSVERIFY_RUNTIME_TRANSITION_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "common/arena.h"
+#include "common/flat_hash.h"
 #include "common/interner.h"
 #include "common/status.h"
 #include "data/instance.h"
@@ -15,6 +18,83 @@
 #include "spec/composition.h"
 
 namespace wsv::runtime {
+
+class TransitionGenerator;
+
+/// Remembers, per peer, the outcome of evaluating the peer's rules on each
+/// distinct local view, so a move is evaluated once per view instead of once
+/// per expansion.
+///
+/// Definition 2.4 makes a move of peer P a function of P's rule structure
+/// alone: its database, state, current input, previous inputs, the first
+/// message and emptiness of each in-queue, and its send-error flags. The
+/// other peers, the mover's actions and every queued message behind a head
+/// never enter it. Two tables per peer are kept:
+///
+///  * moves, keyed by the flat encoding of state, input, prev, send errors
+///    and, per in-queue, its head message or an "empty" marker; the value
+///    is the pre-delivery successor configuration (state, actions, shifted
+///    prev window, send errors) and the send alternatives;
+///  * input options, keyed the same way without the input; the value is the
+///    input digits (options per input relation) of the successor.
+///
+/// The key leaves the database (and the evaluation domain) out, so a memo
+/// is bound to the one TransitionGenerator that first uses it, and using it
+/// with another generator is an error. A memo is not thread-safe: each
+/// expansion lane owns one. Keys and values live back to back in an arena
+/// behind open-addressing id tables. Evaluation errors are returned and
+/// never stored.
+class MoveMemo {
+ public:
+  /// Lookups since the previous TakeCounts and the growth of the bytes the
+  /// memo holds (lane-local counts that callers publish in batches).
+  struct Counts {
+    uint64_t move_hits = 0;
+    uint64_t move_misses = 0;
+    uint64_t input_hits = 0;
+    uint64_t input_misses = 0;
+    uint64_t bytes = 0;
+  };
+
+  /// Returns the counts since the previous call and starts a new count.
+  Counts TakeCounts();
+
+ private:
+  friend class TransitionGenerator;
+
+  /// Bytes held: keys and values, entry records and the id tables.
+  size_t bytes() const;
+
+  /// One stored key/value pair: `key_words` key words, then `value_words`
+  /// value words, contiguous in the arena.
+  struct Entry {
+    const uint32_t* words;
+    uint32_t key_words;
+    uint32_t value_words;
+  };
+
+  struct Table {
+    FlatIdSet index;
+    std::vector<Entry> entries;
+  };
+
+  /// The value stored under key_ (whose hash is `hash`) in `table`, or
+  /// null.
+  const uint32_t* Find(const Table& table, size_t hash) const;
+
+  /// Stores key_ -> value_ in `table` under `hash` (key_ must be absent).
+  void Insert(Table& table, size_t hash);
+
+  const TransitionGenerator* owner_ = nullptr;
+  std::vector<Table> moves_;   // per peer
+  std::vector<Table> inputs_;  // per peer
+  Arena arena_{64 * 1024};
+  /// Scratch encodings of the current lookup.
+  std::vector<uint32_t> key_;
+  std::vector<uint32_t> value_;
+  Counts counts_;
+  uint64_t published_bytes_ = 0;
+};
 
 /// Generates the legal successor snapshots of a composition configuration
 /// (Definition 2.4 lifted to serialized runs, Definition 2.6).
@@ -59,14 +139,17 @@ class TransitionGenerator {
   /// index order, then the environment; per peer the send picks, then the
   /// delivery branches, then the input choices, with the first input
   /// relation as the most significant digit and every digit running "no
-  /// input" first, then the option tuples in order.
-  Status ForEachSuccessor(const Snapshot& snap,
+  /// input" first, then the option tuples in order. Peer moves and input
+  /// options are looked up in, or evaluated into, `memo`, which must be
+  /// fresh or used only with this generator before.
+  Status ForEachSuccessor(const Snapshot& snap, MoveMemo& memo,
                           const SuccessorSink& sink) const;
 
-  /// ForEachSuccessor collected into a vector (simulation and tests).
+  /// ForEachSuccessor collected into a vector, through a fresh memo
+  /// (simulation and tests).
   Result<std::vector<Snapshot>> Successors(const Snapshot& snap) const;
 
-  /// Successors where peer `peer_index` moves, collected.
+  /// Successors where peer `peer_index` moves, collected (fresh memo).
   Result<std::vector<Snapshot>> SuccessorsForPeer(const Snapshot& snap,
                                                   size_t peer_index) const;
 
@@ -89,6 +172,15 @@ class TransitionGenerator {
     /// In-queues mentioned in some rule body (these are dequeued on every
     /// move of the peer, Definition 2.4).
     std::vector<bool> consumes;
+  };
+
+  /// A peer's rules, resolved once by head relation (null: no rule).
+  struct PeerRules {
+    std::vector<const spec::Rule*> state_insert;   // per declared state
+    std::vector<const spec::Rule*> state_delete;   // per declared state
+    std::vector<const spec::Rule*> action;         // per action relation
+    std::vector<const spec::Rule*> send;           // per out-queue
+    std::vector<const spec::Rule*> input_options;  // per input relation
   };
 
   /// A message produced by a send rule, before channel delivery.
@@ -127,7 +219,23 @@ class TransitionGenerator {
 
   /// Streams the successors where peer `peer_index` moves.
   Status ForEachPeerSuccessor(const Snapshot& snap, size_t peer_index,
-                              const SuccessorSink& sink) const;
+                              MoveMemo& memo, const SuccessorSink& sink) const;
+
+  /// Evaluates peer `peer_index`'s state, action and send rules on `snap`
+  /// (the miss path of the move memo): writes the successor's state,
+  /// actions, send errors and shifted prev window into `cfg` (a copy of the
+  /// peer's configuration in `snap`) and the send alternatives into `sends`.
+  Status EvaluateMove(const Snapshot& snap, size_t peer_index, PeerConfig* cfg,
+                      std::vector<std::vector<OutgoingMessage>>* sends) const;
+
+  /// Binds `memo` to this generator on first use; errors if it is bound to
+  /// another one (its keys leave the database out).
+  Status BindMemo(MoveMemo& memo) const;
+
+  /// Encodes peer `peer_index`'s rule view of `snap` (without the database)
+  /// as a memo key into `out`.
+  void EncodeViewKey(const Snapshot& snap, size_t peer_index,
+                     bool include_input, std::vector<uint32_t>* out) const;
 
   /// Applies channel delivery (lossy branching, bounds) of `messages` to
   /// `base`, appending all resulting snapshots to `out`.
@@ -149,6 +257,7 @@ class TransitionGenerator {
   RunOptions options_;
   fo::Evaluator evaluator_;
   std::vector<PeerWiring> wiring_;
+  std::vector<PeerRules> rules_;
   /// Per peer: the rule layout without, then with, current inputs.
   std::vector<StructureLayout> rule_layouts_;
 };

@@ -13,6 +13,29 @@
 
 namespace wsv::verifier {
 
+namespace {
+
+/// Adds a memo's lane-local lookup counts and byte growth to the registry
+/// (once per expansion chunk, not per lookup).
+void PublishMemoCounts(runtime::MoveMemo& memo) {
+  const runtime::MoveMemo::Counts counts = memo.TakeCounts();
+  obs::Registry& registry = obs::Registry::Global();
+  static obs::Counter& move_hits = registry.counter("graph.move_memo_hits");
+  static obs::Counter& move_misses =
+      registry.counter("graph.move_memo_misses");
+  static obs::Counter& input_hits = registry.counter("graph.input_memo_hits");
+  static obs::Counter& input_misses =
+      registry.counter("graph.input_memo_misses");
+  static obs::Counter& bytes = registry.counter("graph.memo_bytes");
+  move_hits.Add(counts.move_hits);
+  move_misses.Add(counts.move_misses);
+  input_hits.Add(counts.input_hits);
+  input_misses.Add(counts.input_misses);
+  bytes.Add(counts.bytes);
+}
+
+}  // namespace
+
 SnapshotGraph::SnapshotGraph(const runtime::TransitionGenerator* generator,
                              SnapshotNormalization normalization)
     : generator_(generator),
@@ -95,9 +118,11 @@ Result<const std::vector<SnapshotId>*> SnapshotGraph::Successors(
     // needed before Intern below grows the graph.
     codec_.Decode(flats_[sid], &decode_scratch_);
     std::vector<SnapshotId> ids;
-    WSV_RETURN_IF_ERROR(generator_->ForEachSuccessor(
-        decode_scratch_,
-        [&](runtime::Snapshot& s) { ids.push_back(Intern(s)); }));
+    Status status = generator_->ForEachSuccessor(
+        decode_scratch_, memo_,
+        [&](runtime::Snapshot& s) { ids.push_back(Intern(s)); });
+    PublishMemoCounts(memo_);
+    WSV_RETURN_IF_ERROR(status);
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     transitions_ += ids.size();
@@ -175,7 +200,8 @@ struct NodeExpansion {
 
 /// Per-lane scratch reused across every frontier node the lane expands (and
 /// across BFS levels): the decoded frontier snapshot, the encode buffer,
-/// and this level's candidates with the arena holding their spans.
+/// this level's candidates with the arena holding their spans, and the
+/// lane's move memo (kept for the whole exploration).
 /// Resetting the arena and the candidate list per level recycles their
 /// storage, so steady-state expansion allocates nothing for the ~16x of
 /// candidates that end up duplicates.
@@ -184,6 +210,7 @@ struct LaneScratch {
   std::vector<uint32_t> encode;
   Arena arena;
   std::vector<Candidate> candidates;
+  runtime::MoveMemo memo;
 };
 
 }  // namespace
@@ -220,7 +247,7 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
           const size_t begin = chunk * per_chunk;
           const size_t end = std::min(n, begin + per_chunk);
           for (size_t p = begin; p < end; ++p) {
-            if (stop_requested.load(std::memory_order_relaxed)) return;
+            if (stop_requested.load(std::memory_order_relaxed)) break;
             if (control != nullptr && (p - begin) % 64 == 0) {
               if (lane == 0) obs::ProgressMeter::Global().MaybeBeat();
               Status status = control->Check();
@@ -228,7 +255,7 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
                 std::lock_guard<obs::TimedMutex> lock(stop_mu);
                 if (stop_status.ok()) stop_status = std::move(status);
                 stop_requested.store(true, std::memory_order_relaxed);
-                return;
+                break;
               }
             }
             NodeExpansion& out = expansions[p];
@@ -236,7 +263,8 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
             out.lane = lane;
             out.begin = lane_scratch.candidates.size();
             out.status = generator_->ForEachSuccessor(
-                lane_scratch.snap, [&](runtime::Snapshot& s) {
+                lane_scratch.snap, lane_scratch.memo,
+                [&](runtime::Snapshot& s) {
                   Normalize(&s);
                   std::vector<uint32_t>& words = lane_scratch.encode;
                   codec_.Encode(s, &words);
@@ -247,6 +275,7 @@ Result<bool> SnapshotGraph::ExploreAllParallel(size_t max_snapshots,
                 });
             out.end = lane_scratch.candidates.size();
           }
+          PublishMemoCounts(lane_scratch.memo);
         });
     if (!stop_status.ok()) return stop_status;
 

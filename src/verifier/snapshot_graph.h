@@ -136,9 +136,11 @@ class SnapshotGraph {
   std::vector<size_t> hashes_;
   FlatIdSet intern_;
 
-  /// Serial-path scratch, reused across every intern/expansion.
+  /// Serial-path scratch, reused across every intern/expansion, and the
+  /// serial path's move memo (parallel lanes keep their own).
   runtime::Snapshot decode_scratch_;
   std::vector<uint32_t> encode_buf_;
+  runtime::MoveMemo memo_;
 
   std::vector<std::optional<std::vector<SnapshotId>>> successors_;
   std::optional<std::vector<SnapshotId>> initials_;
